@@ -16,6 +16,7 @@ architecture echo).  The checksum guards against truncation and bit rot.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -32,7 +33,12 @@ _KIND_JSON = 1
 
 def save_checkpoint(path: "str | Path", arrays: "dict[str, np.ndarray]",
                     metadata: dict) -> None:
-    """Write arrays plus one JSON metadata entry named ``meta``."""
+    """Write arrays plus one JSON metadata entry named ``meta``.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a failure or kill during the write leaves any earlier checkpoint
+    intact.
+    """
     if "meta" in arrays:
         raise DataError("array name 'meta' is reserved for metadata")
     body = bytearray()
@@ -53,7 +59,14 @@ def save_checkpoint(path: "str | Path", arrays: "dict[str, np.ndarray]",
             body += struct.pack("<BI", _KIND_JSON, len(payload))
             body += payload
     body += struct.pack("<I", zlib.crc32(bytes(body)))
-    Path(path).write_bytes(MAGIC + bytes(body))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(MAGIC + bytes(body))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: "str | Path") -> "tuple[dict[str, np.ndarray], dict]":

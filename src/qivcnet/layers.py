@@ -53,8 +53,8 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.state = BatchNormState(channels, momentum=momentum, eps=eps)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ad.batch_norm(x, self.gamma, self.beta, self.state, training)
+    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        return ad.batch_norm(x, self.gamma, self.beta, self.state, training, relu=relu)
 
     def parameters(self) -> "list[Tensor]":
         return [self.gamma, self.beta]
@@ -88,9 +88,8 @@ class LSTM:
         b[hidden: 2 * hidden] = 1.0  # forget-gate block of the [i,f,o,g] packing
         self.b = Tensor(b, requires_grad=True)
 
-    def forward(self, x: Tensor, h0: "np.ndarray | None" = None,
-                c0: "np.ndarray | None" = None) -> Tensor:
-        return ad.lstm(x, self.wx, self.wh, self.b, h0=h0, c0=c0)
+    def forward(self, x: Tensor) -> Tensor:
+        return ad.lstm(x, self.wx, self.wh, self.b)
 
     def parameters(self) -> "list[Tensor]":
         return [self.wx, self.wh, self.b]

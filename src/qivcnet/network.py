@@ -5,7 +5,8 @@ a variational conv on the signal, and a variational conv on the
 time-reversed signal (un-reversed afterwards so features stay aligned).
 The two conv paths are concatenated and fused by an LSTM, then the fused
 features are concatenated with the shortcut and refined by a second LSTM.
-Every stage is followed by batch normalization and the block activation.
+Every stage is followed by batch normalization and the block activation;
+a ReLU activation runs inside the batch-norm node.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -100,6 +101,7 @@ class RfrBlock:
                  cfg: NetworkConfig, rng: Rng):
         self.filters = filters
         self.act = ad.ACTIVATIONS[cfg.activation]
+        self.fuse_relu = cfg.activation == "relu"
         # conv paths apply their activation after batch norm, hence identity here
         conv_cfg = LayerConfig(qire=cfg.qire, kl_scale=cfg.kl_scale,
                                activation="identity", stride=1)
@@ -115,23 +117,28 @@ class RfrBlock:
         self.bn_fuse = mk_bn()
         self.bn_refine = mk_bn()
 
+    def _norm_act(self, bn: BatchNorm, x: Tensor, training: bool) -> Tensor:
+        """Batch norm then the block activation (one node for ReLU)."""
+        if self.fuse_relu:
+            return bn.forward(x, training, relu=True)
+        return self.act(bn.forward(x, training))
+
     def path_features(self, x: Tensor, training: bool,
                       rng: "Rng | None") -> "tuple[Tensor, Tensor, Tensor]":
         """The three pre-fusion feature maps: (shortcut, forward, backward)."""
-        s = self.act(self.bn_short.forward(self.shortcut.forward(x), training))
-        f = self.act(self.bn_fwd.forward(self.fwd_conv.forward(x, training, rng), training))
+        s = self._norm_act(self.bn_short, self.shortcut.forward(x), training)
+        f = self._norm_act(self.bn_fwd, self.fwd_conv.forward(x, training, rng), training)
         rx = ad.reverse_time(x)
-        br = self.act(self.bn_bwd.forward(self.bwd_conv.forward(rx, training, rng), training))
+        br = self._norm_act(self.bn_bwd, self.bwd_conv.forward(rx, training, rng), training)
         b = ad.reverse_time(br)
         return s, f, b
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
         s, f, b = self.path_features(x, training, rng)
-        fused = self.act(self.bn_fuse.forward(
-            self.fusion_lstm.forward(ad.concat([f, b], axis=-1)), training))
-        out = self.act(self.bn_refine.forward(
-            self.refine_lstm.forward(ad.concat([fused, s], axis=-1)), training))
-        return out
+        fused = self._norm_act(
+            self.bn_fuse, self.fusion_lstm.forward(ad.concat([f, b], axis=-1)), training)
+        return self._norm_act(
+            self.bn_refine, self.refine_lstm.forward(ad.concat([fused, s], axis=-1)), training)
 
     def kl(self) -> Tensor:
         return self.fwd_conv.kl() + self.bwd_conv.kl()
@@ -260,10 +267,11 @@ def segments_to_batch(segments) -> np.ndarray:
 def infer_probs(net: QivcNet, segments, batch: int = 64) -> np.ndarray:
     """Deterministic class probabilities (n, 2) for a list of segments."""
     rows = []
-    for start in range(0, len(segments), batch):
-        chunk = segments[start: start + batch]
-        probs = net.forward(Tensor(segments_to_batch(chunk)), training=False)
-        rows.append(probs.data)
+    with ad.no_grad():
+        for start in range(0, len(segments), batch):
+            chunk = segments[start: start + batch]
+            probs = net.forward(Tensor(segments_to_batch(chunk)), training=False)
+            rows.append(probs.data)
     return np.concatenate(rows, axis=0)
 
 
@@ -272,10 +280,11 @@ def export_latent(net: QivcNet, segments, batch: int = 64) -> "list[tuple[str, s
     if net.bottleneck_width < 3:
         raise ConfigError("bottleneck has fewer than 3 coordinates")
     rows: "list[tuple[str, str, float, float, float]]" = []
-    for start in range(0, len(segments), batch):
-        chunk = segments[start: start + batch]
-        z = net.features(Tensor(segments_to_batch(chunk)), training=False).data
-        for seg, vec in zip(chunk, z):
-            seg_id = f"{seg.recording_id}:{seg.window_index}"
-            rows.append((seg_id, seg.label, float(vec[0]), float(vec[1]), float(vec[2])))
+    with ad.no_grad():
+        for start in range(0, len(segments), batch):
+            chunk = segments[start: start + batch]
+            z = net.features(Tensor(segments_to_batch(chunk)), training=False).data
+            for seg, vec in zip(chunk, z):
+                seg_id = f"{seg.recording_id}:{seg.window_index}"
+                rows.append((seg_id, seg.label, float(vec[0]), float(vec[1]), float(vec[2])))
     return rows

@@ -42,6 +42,16 @@ def test_activation_grads():
     gradcheck(lambda ts: ad.tsum(ad.softplus(ts[0])), [x.copy()])
 
 
+def test_relu_grads_of_a_sum_do_not_alias():
+    # add hands one gradient array to both parents; neither relu may mask it
+    # in place for the other
+    x1 = Tensor(np.array([1.0, -1.0, 2.0]), requires_grad=True)
+    x2 = Tensor(np.array([-1.0, 1.0, 3.0]), requires_grad=True)
+    ad.backward(ad.tsum(ad.relu(x1) + ad.relu(x2)))
+    assert x1.grad.tolist() == [1.0, 0.0, 1.0]
+    assert x2.grad.tolist() == [0.0, 1.0, 1.0]
+
+
 def test_log_grad_and_eps_guard():
     x = np.abs(RNG.normal(size=(4, 3))) + 0.5
     gradcheck(lambda ts: ad.tsum(ad.log(ts[0])), [x])
@@ -286,6 +296,39 @@ def test_batch_norm_grads_train_and_eval():
     gradcheck(eval_build, [x, gamma, beta])
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_relu_grads(training):
+    rng = np.random.default_rng(77)
+    x = rng.normal(size=(3, 7, 2))
+    gamma = np.array([1.4, -0.9])
+    beta = np.array([0.3, -0.2])
+
+    def state():
+        st = BatchNormState(2)
+        if not training:
+            st.running_mean = np.array([0.4, -0.2])
+            st.running_var = np.array([1.3, 0.7])
+        else:  # inference with the batch's own statistics equals training
+            st.running_mean = x.mean(axis=(0, 1))
+            st.running_var = x.var(axis=(0, 1))
+        return st
+
+    pre = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state(),
+                        training=False).data
+    assert np.min(np.abs(pre)) > 1e-3   # no kink within reach of the fd step
+    assert 0 < np.count_nonzero(pre > 0) < pre.size
+
+    def build(ts):
+        st = BatchNormState(2) if training else state()
+        out = ad.batch_norm(ts[0], ts[1], ts[2], st, training=training, relu=True)
+        return ad.tsum(ad.sigmoid(out))
+
+    fused = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state(),
+                          training=training, relu=True).data
+    assert np.allclose(fused, np.maximum(pre, 0.0), rtol=0.0, atol=1e-12)
+    gradcheck(build, [x.copy(), gamma.copy(), beta.copy()])
+
+
 def test_batch_norm_validates():
     with pytest.raises(ShapeError):
         BatchNormState(2, momentum=0.0)
@@ -296,11 +339,11 @@ def test_batch_norm_validates():
 
 # --------------------------------------------------------------------- lstm
 
-def _ref_lstm(x, wx, wh, b, h0=None, c0=None):
+def _ref_lstm(x, wx, wh, b):
     B, T, _ = x.shape
     H = wh.shape[0]
-    h = np.zeros((B, H)) if h0 is None else h0
-    c = np.zeros((B, H)) if c0 is None else c0
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
     out = np.zeros((B, T, H))
     for t in range(T):
         z = x[:, t, :] @ wx + h @ wh + b
@@ -323,23 +366,25 @@ def test_lstm_matches_reference():
     assert np.max(np.abs(got - _ref_lstm(x, wx, wh, b))) < 1e-14
 
 
-def test_lstm_initial_state():
-    x = RNG.normal(size=(2, 4, 3))
-    wx = RNG.normal(size=(3, 8))
-    wh = RNG.normal(size=(2, 8))
-    b = RNG.normal(size=8)
-    h0 = RNG.normal(size=(2, 2))
-    c0 = RNG.normal(size=(2, 2))
-    got = ad.lstm(Tensor(x), Tensor(wx), Tensor(wh), Tensor(b), h0=h0, c0=c0).data
-    assert np.max(np.abs(got - _ref_lstm(x, wx, wh, b, h0, c0))) < 1e-14
-
-
 def test_lstm_grads():
     x = RNG.normal(size=(2, 5, 3))
     wx = RNG.normal(size=(3, 8))
     wh = RNG.normal(size=(2, 8))
     b = RNG.normal(size=8)
     wgt = RNG.normal(size=(2, 5, 2))
+    gradcheck(lambda ts: ad.tsum(ad.lstm(ts[0], ts[1], ts[2], ts[3]) * Tensor(wgt)),
+              [x, wx, wh, b])
+
+
+def test_lstm_grads_across_backward_chunks():
+    # longer than one backward chunk, so state crosses chunk boundaries
+    rng = np.random.default_rng(78)
+    T = 2 * ad._LSTM_CHUNK + 3
+    x = rng.normal(size=(2, T, 2))
+    wx = rng.normal(size=(2, 8)) * 0.5
+    wh = rng.normal(size=(2, 8)) * 0.5
+    b = rng.normal(size=8)
+    wgt = rng.normal(size=(2, T, 2))
     gradcheck(lambda ts: ad.tsum(ad.lstm(ts[0], ts[1], ts[2], ts[3]) * Tensor(wgt)),
               [x, wx, wh, b])
 
@@ -374,6 +419,44 @@ def test_backward_twice_raises():
     ad.backward(loss)
     with pytest.raises(GraphError):
         ad.backward(loss)
+
+
+def test_backward_never_writes_into_the_incoming_gradient():
+    rng = np.random.default_rng(79)
+    p = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
+    pos = Tensor(np.abs(rng.normal(size=(2, 3))) + 0.5, requires_grad=True)
+    st = BatchNormState(3)
+    outs = [
+        ad.add(p(2, 3), p(3)), ad.sub(p(2, 3), p(3)), ad.mul(p(2, 3), p(3)),
+        ad.div(p(2, 3), pos), ad.neg(p(2, 3)), ad.relu(p(2, 3)), ad.tanh(p(2, 3)),
+        ad.sigmoid(p(2, 3)), ad.exp(p(2, 3)), ad.log(pos), ad.softplus(p(2, 3)),
+        ad.tsum(p(2, 3)), ad.tmean(p(2, 3)), ad.reshape(p(2, 3), (3, 2)),
+        ad.concat([p(2, 1), p(2, 2)]), ad.take_channel(p(2, 3), 1),
+        ad.reverse_time(p(2, 4, 3)), ad.matmul(p(2, 3), p(3, 2)),
+        ad.conv1d(p(2, 6, 2), p(3, 2, 3), p(3)), ad.max_pool(p(2, 6, 3)),
+        ad.global_max_pool(p(2, 6, 3)), ad.softmax(p(2, 3)),
+        ad.lstm(p(2, 5, 2), p(2, 12), p(3, 12), p(12)),
+    ]
+    for training in (True, False):
+        for relu in (True, False):
+            outs.append(ad.batch_norm(p(2, 4, 3), p(3), p(3), st, training, relu=relu))
+    for out in outs:
+        g = rng.normal(size=out.shape)
+        g.flags.writeable = False              # an in-place write raises
+        out._backward(g)
+
+
+def test_no_grad_records_no_graph():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    x = Tensor(np.ones((4, 3)))
+    with ad.no_grad():
+        y = ad.relu(ad.matmul(x, w))
+    assert y._backward is None and y._parents == () and not y.requires_grad
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("leave the scope by an exception")
+    z = ad.matmul(x, w)     # recording is back on after either exit
+    assert z._backward is not None and z.requires_grad
 
 
 def test_interior_grads_freed_after_backward():

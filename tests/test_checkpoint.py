@@ -1,5 +1,7 @@
 """Checkpoint container: round trips, checksum, corruption handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,25 @@ def test_empty_arrays_ok(tmp_path):
     arrays, meta = load_checkpoint(path)
     assert arrays == {}
     assert meta == {"only": "meta"}
+
+
+def test_failed_write_keeps_earlier_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, _arrays(), {"epoch": 1})
+    before = path.read_bytes()
+    real_write = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    later = {name: arr + 1.0 for name, arr in _arrays().items()}
+    with pytest.raises(OSError):
+        save_checkpoint(path, later, {"epoch": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    arrays, meta = load_checkpoint(path)
+    assert meta == {"epoch": 1}
+    assert np.array_equal(arrays["w0"], _arrays()["w0"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.bin"]

@@ -113,6 +113,26 @@ def test_infer_probs_batch_size_invariant():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_inference_keeps_no_backward_closures(monkeypatch):
+    net = QivcNet(MICRO)
+    with ad.no_grad():
+        probs = net.forward(Tensor(Rng(1).normal((2, 32, 1))), training=False)
+    assert probs._backward is None and probs._parents == ()
+    closures = []
+    make = ad._make
+
+    def counting_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        closures.append(out._backward is not None)
+        return out
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    segs = _segments(5)
+    infer_probs(net, segs, batch=2)
+    export_latent(net, segs, batch=2)
+    assert closures and not any(closures)
+
+
 def test_segments_to_batch_shape():
     segs = _segments(3, length=50)
     assert segments_to_batch(segs).shape == (3, 50, 1)
@@ -277,3 +297,48 @@ def test_network_gradients_match_finite_differences():
     # zero-mean init also kills its KL term)
     mu_b_grad = tensors[id(by_name["block0.bwd_conv.mu_b"])].grad
     assert np.max(np.abs(mu_b_grad)) < 1e-12
+
+
+def test_relu_network_gradients_match_finite_differences(monkeypatch):
+    # the default activation is relu, fused into batch norm inside the
+    # blocks; the check holds only where no pre-activation sits near the kink
+    smallest = []
+    batch_norm, relu = ad.batch_norm, ad.relu
+
+    def watched_batch_norm(x, gamma, beta, state, training, relu=False):
+        if relu:
+            probe = ad.BatchNormState(x.shape[-1])
+            probe.running_mean, probe.running_var = state.running_mean, state.running_var
+            pre = batch_norm(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data),
+                             probe, training)
+            smallest.append(float(np.min(np.abs(pre.data))))
+        return batch_norm(x, gamma, beta, state, training, relu=relu)
+
+    def watched_relu(a):
+        smallest.append(float(np.min(np.abs(a.data))))
+        return relu(a)
+
+    monkeypatch.setattr(ad, "batch_norm", watched_batch_norm)
+    monkeypatch.setitem(ad.ACTIVATIONS, "relu", watched_relu)
+    cfg = NetworkConfig(blocks=((2, 3), (3, 3)), classifier_width=3,
+                        qire=QireConfig(k=2, p=0.05), seed=3)
+    assert cfg.activation == "relu"
+    net = QivcNet(cfg)
+    x = Rng(21).normal((2, 12, 1))
+    y = one_hot(np.array([0, 1]))
+
+    def loss_value():
+        probs = net.forward(Tensor(x), training=True, rng=Rng(18))
+        task, _, _, _ = composite_loss(probs, y, LossWeights(), update_weights=False)
+        return total_loss(task, net.kl(), cfg.kl_scale)
+
+    loss = loss_value()
+    assert len(smallest) == 11 and min(smallest) > 1e-3
+    ad.backward(loss)
+    tensors = {id(p.data): p for p in net.parameters()}
+    f = lambda: float(loss_value().data)
+    for name, arr in net.state_arrays().items():
+        param = tensors.get(id(arr))
+        if param is None:
+            continue  # batch-norm running stats are state, not parameters
+        assert rel_err(param.grad, fd_grad(f, arr), floor=1e-6) < 1e-4, name
