@@ -452,7 +452,7 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride: int = 1) -> 
         if w.requires_grad:
             _accumulate(w, (col.T @ g2).reshape(K, Cin, Cout))
         if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(0, 1)))
+            _accumulate(b, np.einsum("btc->c", g))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, back)

@@ -102,20 +102,21 @@ def _load_net(cfg: RunConfig, segments):
 def cmd_preprocess(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     if not cfg.manifest:
         raise ConfigError("preprocess needs --manifest")
-    recordings = dataio.load_recordings(cfg.manifest)
     segments = []
     rejected = []
-    for rec in recordings:
+    n_recordings = 0
+    for rec in dataio.iter_recordings(cfg.manifest):
         segs, rej = preprocess.preprocess_recording(rec)
         segments.extend(segs)
         rejected.extend(rej)
+        n_recordings += 1
     if not segments:
         raise DataError("no segments survived preprocessing")
     dataio.save_segment_cache(reg.file(cfg.cache), segments)
     dataio.write_csv(reg.file(outdir / "rejections.csv"),
                      ("recording_id", "window_index", "reason"),
                      [(r.recording_id, r.window_index, r.reason) for r in rejected])
-    print(f"cached {len(segments)} segments from {len(recordings)} recordings "
+    print(f"cached {len(segments)} segments from {n_recordings} recordings "
           f"({len(rejected)} windows rejected) -> {cfg.cache}")
 
 

@@ -6,7 +6,9 @@ dropped), then per-window finalization: linear-interpolation resampling to
 2000 samples, mean centering, and peak normalization to max |v| = 1.
 Windows containing non-finite values, or that are identically zero (so the
 normalization is undefined), are rejected as a typed outcome rather than
-an error.
+an error.  All windows of a recording are finalized together as one
+(count, width) array; the result is bit-identical to finalizing each
+window on its own with ``np.interp``.
 
 The band-pass is realized as cascaded second-order sections obtained from
 the analytic Butterworth prototype through the bilinear transform with
@@ -16,6 +18,7 @@ the magnitude response and cancels the phase.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +78,21 @@ class RejectedWindow:
     reason: str
 
 
+@functools.lru_cache(maxsize=16)
+def _sos_design(sample_rate: float) -> np.ndarray:
+    sos = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
+                        btype="bandpass", fs=sample_rate, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def butter_bandpass_sos(sample_rate: float) -> np.ndarray:
-    """Second-order sections of the 4th-order Butterworth band-pass."""
-    return signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
-                         btype="bandpass", fs=sample_rate, output="sos")
+    """Second-order sections of the 4th-order Butterworth band-pass.
+
+    The design is computed once per sample rate; every call returns a fresh
+    writable copy, because scipy's ``sosfilt`` rejects a read-only array.
+    """
+    return _sos_design(sample_rate).copy()
 
 
 def bandpass(rec: Recording) -> Recording:
@@ -97,43 +111,74 @@ def bandpass(rec: Recording) -> Recording:
                      id=rec.id, label=rec.label)
 
 
-def segment_windows(rec: Recording, seconds: float = WINDOW_SECONDS) -> "list[np.ndarray]":
-    """Consecutive non-overlapping fixed-duration windows; remainder dropped."""
+def segment_windows(rec: Recording, seconds: float = WINDOW_SECONDS) -> np.ndarray:
+    """Consecutive non-overlapping fixed-duration windows as a (count, width)
+    view of the samples; the remainder is dropped."""
     width = int(round(seconds * rec.sample_rate))
     count = len(rec.samples) // width
-    return [rec.samples[i * width: (i + 1) * width] for i in range(count)]
+    return rec.samples[: count * width].reshape(count, width)
+
+
+def _finalize_windows(windows: np.ndarray, label: str, recording_id: str,
+                      first_index: int = 0) -> "list[Segment | RejectedWindow]":
+    """Resample, center and normalize each row; one result per row, in order.
+
+    Resampling is linear interpolation onto 2000 points spanning the row.
+    The sample spacing is exactly 1.0, so ``(w[j+1] - w[j]) * frac + w[j]``
+    rounds exactly as ``np.interp`` does, and grid points that land on a
+    sample take it unchanged, as ``np.interp`` does.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    count, width = windows.shape
+    finite = np.isfinite(windows).all(axis=1)
+    nonzero = windows.any(axis=1)
+    rows = np.flatnonzero(finite & nonzero)
+    normalized = iter(())
+    if len(rows):
+        grid = np.linspace(0.0, width - 1.0, SEGMENT_LENGTH)
+        j = grid.astype(np.intp)
+        frac = grid - j
+        lo = windows[rows[:, None], j]
+        values = (windows[rows[:, None], np.minimum(j + 1, width - 1)] - lo) * frac + lo
+        on_sample = np.flatnonzero(frac == 0.0)
+        values[:, on_sample] = lo[:, on_sample]
+        for row in values:
+            # the per-window code's 1-D mean by construction; mean(axis=1)
+            # agrees only while numpy sums each contiguous row pairwise
+            row -= row.mean()
+        peaks = np.abs(values).max(axis=1)
+        np.divide(values, peaks[:, None], out=values, where=peaks[:, None] != 0.0)
+        normalized = zip(values, peaks)
+    results: "list[Segment | RejectedWindow]" = []
+    for i in range(count):
+        index = first_index + i
+        if not finite[i]:
+            results.append(RejectedWindow(recording_id, index, "non-finite values"))
+        elif not nonzero[i]:
+            results.append(RejectedWindow(recording_id, index, "identically zero"))
+        else:
+            row, peak = next(normalized)
+            if peak == 0.0:
+                results.append(RejectedWindow(recording_id, index, "zero after centering"))
+            else:
+                results.append(Segment(values=row, label=label,
+                                       recording_id=recording_id, window_index=index))
+    return results
 
 
 def finalize_segment(window: np.ndarray, source_rate: float, label: str,
                      recording_id: str, window_index: int) -> "Segment | RejectedWindow":
     """Resample to 2000 points, center, normalize; reject degenerate windows."""
-    window = np.asarray(window, dtype=np.float64)
-    if not np.all(np.isfinite(window)):
-        return RejectedWindow(recording_id, window_index, "non-finite values")
-    if not np.any(window):
-        return RejectedWindow(recording_id, window_index, "identically zero")
-    grid = np.linspace(0.0, len(window) - 1.0, SEGMENT_LENGTH)
-    values = np.interp(grid, np.arange(len(window)), window)
-    values = values - values.mean()
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return RejectedWindow(recording_id, window_index, "zero after centering")
-    values = values / peak
-    return Segment(values=values, label=label,
-                   recording_id=recording_id, window_index=window_index)
+    return _finalize_windows(np.reshape(window, (1, -1)), label, recording_id,
+                             window_index)[0]
 
 
 def preprocess_recording(rec: Recording) -> "tuple[list[Segment], list[RejectedWindow]]":
     """Full per-recording chain: filter, window, finalize."""
     filtered = bandpass(rec)
-    segments: "list[Segment]" = []
-    rejected: "list[RejectedWindow]" = []
-    for i, window in enumerate(segment_windows(filtered)):
-        result = finalize_segment(window, filtered.sample_rate, rec.label, rec.id, i)
-        if isinstance(result, Segment):
-            segments.append(result)
-        else:
-            rejected.append(result)
+    results = _finalize_windows(segment_windows(filtered), rec.label, rec.id)
+    segments = [r for r in results if isinstance(r, Segment)]
+    rejected = [r for r in results if isinstance(r, RejectedWindow)]
     return segments, rejected
 
 

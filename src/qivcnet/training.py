@@ -145,6 +145,15 @@ def evaluate_segments(net: QivcNet, segments, labels: np.ndarray) -> MetricsRepo
     return compute_metrics(labels, preds, probs[:, 1])
 
 
+def _check_gradients(net: QivcNet, params: "list[Tensor]", where: str) -> None:
+    """Raise NumericalError naming the first parameter with a non-finite gradient."""
+    for p in params:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            names = {id(arr): name for name, arr in net.state_arrays().items()}
+            raise NumericalError(
+                f"{where}: non-finite gradient for {names.get(id(p.data), 'unnamed parameter')}")
+
+
 def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.ndarray,
                net_cfg: NetworkConfig, hyper: TrainHyper, fold_rng: Rng,
                fold_dir: "str | Path") -> FoldResult:
@@ -203,6 +212,7 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
                     f"fold {fold_index} epoch {epoch}: non-finite training loss")
             opt.zero_grad()
             ad.backward(objective)
+            _check_gradients(net, opt.params, f"fold {fold_index} epoch {epoch}")
             opt.step()
             size = len(take)
             sums["loss"] += value * size

@@ -207,6 +207,19 @@ def test_preprocess_requires_a_manifest(tmp_path):
     assert err.startswith("error code=2 kind=config:")
 
 
+def test_preprocess_unreadable_wav_mid_stream_leaves_no_artifacts(tmp_path):
+    manifest = write_wav_dataset(tmp_path / "data", 3, Rng(4), seconds=4.0)
+    (tmp_path / "data" / "wavs" / "syn0001.wav").write_bytes(b"RIFF-not-really")
+    cache = tmp_path / "segments.qivc"
+    rc, _, err = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                          "--outdir", tmp_path / "prep"])
+    assert rc == 3
+    assert err.startswith("error code=3 kind=data:")
+    assert "syn0001.wav" in err
+    assert not cache.exists()
+    assert not (tmp_path / "prep" / "rejections.csv").exists()
+
+
 def test_eval_requires_a_checkpoint(pipeline, tmp_path):
     rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
                           "--outdir", tmp_path / "eval"])

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qivcnet.dataio import (
+    iter_recordings,
     load_manifest,
-    load_recordings,
     load_segment_cache,
     read_wav,
     save_segment_cache,
@@ -98,7 +98,7 @@ def test_manifest_round_trip(tmp_path):
         "recording_id,relative_path,label\nr1,x.wav,normal\n")
     rows = load_manifest(tmp_path / "manifest.csv")
     assert rows == [("r1", tmp_path / "x.wav", "normal")]
-    recs = load_recordings(tmp_path / "manifest.csv")
+    recs = list(iter_recordings(tmp_path / "manifest.csv"))
     assert len(recs) == 1
     assert recs[0].id == "r1"
     assert recs[0].sample_rate == 4000.0
@@ -123,7 +123,7 @@ def test_manifest_missing_wav(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("recording_id,relative_path,label\nr1,gone.wav,normal\n")
     with pytest.raises(DataError):
-        load_recordings(p)
+        list(iter_recordings(p))
 
 
 # ------------------------------------------------------------------- cache

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from qivcnet import preprocess
 from qivcnet.errors import DataError
 from qivcnet.preprocess import (
     BAND_HIGH_HZ,
     BAND_LOW_HZ,
     FILTER_ORDER,
+    PAD_LEN,
     SEGMENT_LENGTH,
     Recording,
     RejectedWindow,
@@ -58,6 +60,21 @@ def test_sos_matches_analytic_prototype():
     got = np.abs(h)
     want = _analytic_single_pass_mag(freqs)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_sos_is_a_fresh_writable_copy_per_call():
+    first = butter_bandpass_sos(FS)
+    assert first.flags.writeable
+    first[:] = 0.0
+    second = butter_bandpass_sos(FS)
+    assert second is not first
+    assert second.flags.writeable
+    want = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
+                         btype="bandpass", fs=FS, output="sos")
+    assert np.array_equal(second, want)
+    assert np.array_equal(butter_bandpass_sos(2000.0), signal.butter(
+        FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ], btype="bandpass", fs=2000.0,
+        output="sos"))
 
 
 def test_two_pass_gain_on_sines():
@@ -112,16 +129,16 @@ def test_recording_validation():
 def test_window_count_and_tiling():
     rec = _rec(np.arange(int(21 * FS), dtype=np.float64))
     wins = segment_windows(rec)
-    assert len(wins) == 5
     width = int(4 * FS)
+    assert wins.shape == (5, width)
+    assert np.shares_memory(wins, rec.samples)
     for i, w in enumerate(wins):
-        assert len(w) == width
         assert np.array_equal(w, rec.samples[i * width: (i + 1) * width])
 
 
 def test_window_too_short_recording_gives_none():
     rec = _rec(np.ones(int(3.9 * FS)))
-    assert segment_windows(rec) == []
+    assert segment_windows(rec).shape == (0, int(4 * FS))
 
 
 # ------------------------------------------------------------ finalization
@@ -195,6 +212,109 @@ def test_preprocess_counts_rejections():
     x[: int(4 * FS)] = np.sin(2.0 * np.pi * 100.0 * np.arange(int(4 * FS)) / FS)
     segs, rejected = preprocess_recording(_rec(x))
     assert len(segs) + len(rejected) == 2
+
+
+# ------------------------------------------- batched path vs per-window np.interp
+
+def _reference_window(window, label, rid, index):
+    """The per-window finalization the batched path replaced, via np.interp."""
+    window = np.asarray(window, dtype=np.float64)
+    if not np.all(np.isfinite(window)):
+        return RejectedWindow(rid, index, "non-finite values")
+    if not np.any(window):
+        return RejectedWindow(rid, index, "identically zero")
+    grid = np.linspace(0.0, len(window) - 1.0, SEGMENT_LENGTH)
+    values = np.interp(grid, np.arange(len(window)), window)
+    values = values - values.mean()
+    peak = np.max(np.abs(values))
+    if peak == 0.0:
+        return RejectedWindow(rid, index, "zero after centering")
+    return Segment(values=values / peak, label=label, recording_id=rid, window_index=index)
+
+
+def _reference_recording(rec, filtered=True):
+    samples = rec.samples
+    if filtered:
+        sos = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
+                            btype="bandpass", fs=rec.sample_rate, output="sos")
+        samples = signal.sosfiltfilt(sos, samples, padtype="odd", padlen=PAD_LEN)
+    width = int(round(4.0 * rec.sample_rate))
+    results = [_reference_window(samples[i * width: (i + 1) * width], rec.label, rec.id, i)
+               for i in range(len(samples) // width)]
+    return ([r for r in results if isinstance(r, Segment)],
+            [r for r in results if isinstance(r, RejectedWindow)])
+
+
+def _assert_same_outcome(got, want):
+    segs, rejected = got
+    want_segs, want_rejected = want
+    assert rejected == want_rejected
+    assert len(segs) == len(want_segs)
+    for a, b in zip(segs, want_segs):
+        assert (a.label, a.recording_id, a.window_index) == \
+            (b.label, b.recording_id, b.window_index)
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("fs", [2000.0, 4000.0])
+def test_batched_recording_matches_per_window_reference(fs):
+    rng = Rng(int(fs))
+    n = int(14.5 * fs)
+    t = np.arange(n) / fs
+    x = (np.sin(2.0 * np.pi * 90.0 * t) + 0.5 * rng.normal((n,))) * 0.3
+    rec = _rec(x, fs=fs, label="abnormal", rid=f"r{int(fs)}")
+    got = preprocess_recording(rec)
+    assert len(got[0]) == 3
+    _assert_same_outcome(got, _reference_recording(rec))
+
+
+def test_batched_silent_recording_matches_reference():
+    rec = _rec(np.zeros(int(9 * FS)), rid="quiet")
+    got = preprocess_recording(rec)
+    assert got[0] == []
+    assert [r.reason for r in got[1]] == ["identically zero"] * 2
+    _assert_same_outcome(got, _reference_recording(rec))
+
+
+def test_batched_degenerate_windows_match_reference(monkeypatch):
+    # skip the filter so each window's content is chosen exactly
+    monkeypatch.setattr(preprocess, "bandpass", lambda rec: rec)
+    width = int(4 * FS)
+    rng = Rng(8)
+    windows = rng.normal((6, width))
+    windows[1, 100] = np.nan
+    windows[2] = 0.0
+    windows[3] = 0.75           # zero after centering
+    windows[4, -1] = np.inf
+    rec = _rec(np.concatenate([windows.ravel(), rng.normal((width // 2,))]), rid="mix")
+    got = preprocess_recording(rec)
+    assert [r.reason for r in got[1]] == [
+        "non-finite values", "identically zero", "zero after centering",
+        "non-finite values"]
+    assert [s.window_index for s in got[0]] == [0, 5]
+    _assert_same_outcome(got, _reference_recording(rec, filtered=False))
+
+
+def test_batched_recording_shorter_than_a_window():
+    rec = _rec(Rng(2).normal((int(3.5 * FS),)))
+    assert preprocess_recording(rec) == ([], [])
+    assert _reference_recording(rec) == ([], [])
+
+
+def test_finalize_segment_matches_reference_on_odd_widths():
+    rng = Rng(6)
+    # 2000 samples land every grid point on a sample; a zero-mean window
+    # keeps the sign of its -0.0 samples through centering
+    signed_zero = np.concatenate([[-0.0, -0.0], np.tile([1.0, -1.0], 999)])
+    windows = [rng.normal((w,)) for w in (1, 2, 3, 1999, 2000, 2001, 8000, 16000)]
+    for window in windows + [signed_zero]:
+        got = finalize_segment(window, FS, "normal", "w", 4)
+        want = _reference_window(window, "normal", "w", 4)
+        assert type(got) is type(want)
+        if isinstance(want, Segment):
+            assert got.values.tobytes() == want.values.tobytes()
+        else:
+            assert got == want
 
 
 # ----------------------------------------------------------- noise injection

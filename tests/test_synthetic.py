@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qivcnet.dataio import load_recordings
+from qivcnet.dataio import iter_recordings
 from qivcnet.errors import DataError
 from qivcnet.preprocess import SEGMENT_LENGTH, preprocess_recording
 from qivcnet.rng import Rng
@@ -104,7 +104,7 @@ def test_make_dataset_rejects_tiny():
 def test_write_wav_dataset_round_trip(tmp_path):
     manifest = write_wav_dataset(tmp_path, 4, Rng(9), seconds=6.0)
     assert manifest == tmp_path / "manifest.csv"
-    recs = load_recordings(manifest)
+    recs = list(iter_recordings(manifest))
     assert len(recs) == 4
     assert [r.label for r in recs] == ["normal", "abnormal", "normal", "abnormal"]
     for rec in recs:
@@ -117,7 +117,7 @@ def test_write_wav_dataset_round_trip(tmp_path):
 def test_wav_dataset_classes_separable_after_ingest(tmp_path):
     manifest = write_wav_dataset(tmp_path, 6, Rng(2), seconds=4.0)
     fractions = {}
-    for rec in load_recordings(manifest):
+    for rec in iter_recordings(manifest):
         fractions.setdefault(rec.label, []).append(
             _band_energy_fraction(rec.samples, rec.sample_rate))
     assert max(fractions["normal"]) < min(fractions["abnormal"])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from qivcnet import training
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint
-from qivcnet.errors import ConfigError, DataError
+from qivcnet.errors import ConfigError, DataError, NumericalError
 from qivcnet.folds import segment_labels, stratified_kfold
 from qivcnet.metrics import compute_metrics
 from qivcnet.network import NetworkConfig, QivcNet, config_from_dict
@@ -205,6 +206,33 @@ def test_train_fold_rejects_single_class_split(tmp_path):
     with pytest.raises(DataError):
         train_fold(segs, 0, train_idx, test_idx, MICRO,
                    TrainHyper(epochs=1), Rng(0), tmp_path / "f")
+
+
+def test_train_fold_names_the_parameter_with_a_non_finite_gradient(tmp_path, monkeypatch):
+    nets = []
+
+    class RecordedNet(QivcNet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nets.append(self)
+
+    real_backward = training.ad.backward
+
+    def backward_with_nan(loss):
+        real_backward(loss)
+        target = nets[-1].state_arrays()["block1.fusion_lstm.wh"]
+        param = next(p for p in nets[-1].parameters() if p.data is target)
+        param.grad = param.grad.copy()
+        param.grad.flat[3] = np.nan
+
+    monkeypatch.setattr(training, "QivcNet", RecordedNet)
+    monkeypatch.setattr(training.ad, "backward", backward_with_nan)
+    segs = _separable_segments(20)
+    split = stratified_kfold(segs, k=4, seed=0)
+    with pytest.raises(NumericalError, match=r"epoch 1: non-finite gradient for "
+                                             r"block1\.fusion_lstm\.wh"):
+        train_fold(segs, 0, split.train_indices(0), split.test_indices(0), MICRO,
+                   TrainHyper(epochs=1, batch=8), Rng(0), tmp_path / "f")
 
 
 # ------------------------------------------------------------ orchestration
