@@ -14,6 +14,24 @@ Conventions used throughout the package:
    gradients are summed back over the broadcast axes;
  - a graph supports a single backward pass: closures and saved buffers are
    released as soon as they have been applied, to keep peak memory low.
+
+Saved for backward.  The graph held after forward sets the peak memory of a
+training step, so each op keeps only what its backward cannot cheaply
+rebuild:
+
+ - batch_norm keeps its output and the centring mean (the batch mean in
+   training, the running mean it used in inference); the centred input is
+   recomputed from the input, which its producer holds anyway;
+ - conv1d keeps no im2col matrix and no padded input: backward works per
+   kernel tap on a fresh padding of the input;
+ - lstm keeps the gate values, the cell states and one copy of the hidden
+   states, its output; tanh of the cells is recomputed a chunk at a time,
+   and a list input is read part by part, never joined;
+ - reverse_time returns a view;
+ - max_pool keeps the in-window argmax in the smallest unsigned type.
+
+Closures capture the arrays they read at forward time and never read a
+tensor's ``.data`` later, because ``load_state`` rebinds ``.data``.
 """
 
 from __future__ import annotations
@@ -210,21 +228,23 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    va, vb = a.data, b.data
+    data = va * vb
 
     def back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(a, _unbroadcast(g * vb, a.shape))
+        _accumulate(b, _unbroadcast(g * va, b.shape))
 
     return _make(data, (a, b), back)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
+    va, vb = a.data, b.data
+    data = va / vb
 
     def back(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        _accumulate(a, _unbroadcast(g / vb, a.shape))
+        _accumulate(b, _unbroadcast(-g * va / (vb * vb), b.shape))
 
     return _make(data, (a, b), back)
 
@@ -288,10 +308,11 @@ def log(a: Tensor, eps: float = 0.0) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably for large |x|."""
-    data = np.logaddexp(0.0, a.data)
+    va = a.data
+    data = np.logaddexp(0.0, va)
 
     def back(g):
-        _accumulate(a, g * _expit(a.data))
+        _accumulate(a, g * _expit(va))
 
     return _make(data, (a,), back)
 
@@ -379,7 +400,7 @@ def reverse_time(a: Tensor) -> Tensor:
     def back(g):
         _accumulate(a, g[:, ::-1, :])
 
-    return _make(np.ascontiguousarray(a.data[:, ::-1, :]), (a,), back)
+    return _make(a.data[:, ::-1, :], (a,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -388,14 +409,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs a.ndim >= 2 and b.ndim == 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    va, vb = a.data, b.data
+    data = va @ vb
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ vb.T)
         if b.requires_grad:
-            lead = tuple(range(a.ndim - 1))
-            _accumulate(b, np.tensordot(a.data, g, axes=(lead, lead)))
+            lead = tuple(range(va.ndim - 1))
+            _accumulate(b, np.tensordot(va, g, axes=(lead, lead)))
 
     return _make(data, (a, b), back)
 
@@ -430,27 +452,31 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride: int = 1) -> 
     pad_left = K // 2
     # rightmost input index touched is (t_out-1)*stride + K-1 - pad_left
     pad_right = max(0, (t_out - 1) * stride + K - 1 - pad_left - (T - 1))
-    xp = np.pad(x.data, ((0, 0), (pad_left, pad_right), (0, 0)))
-    # im2col: materialize the (batch*t_out, width*c_in) window matrix once so
-    # the convolution and both weight/input gradients are single GEMMs.
+    xd, wd = x.data, w.data
+    # im2col: the (batch*t_out, width*c_in) window matrix makes the forward
+    # one GEMM; it is dropped once used, and backward works per kernel tap
+    xp = np.pad(xd, ((0, 0), (pad_left, pad_right), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=1)
     win = win[:, :: stride, :, :][:, : t_out]          # (B, t_out, Cin, K)
     col = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(B * t_out, K * Cin)
-    w2 = w.data.reshape(K * Cin, Cout)
-    out = (col @ w2).reshape(B, t_out, Cout)
+    out = (col @ wd.reshape(K * Cin, Cout)).reshape(B, t_out, Cout)
     if b is not None:
         out += b.data
+    span = stride * t_out               # padded positions tap k reads: k, k+stride, ...
 
     def back(g):
-        g2 = g.reshape(B * t_out, Cout)
         if x.requires_grad:
-            dcol = (g2 @ w2.T).reshape(B, t_out, K, Cin)
-            dxp = np.zeros_like(xp)
+            g2 = g.reshape(B * t_out, Cout)
+            dxp = np.zeros((B, T + pad_left + pad_right, Cin))
             for k in range(K):
-                dxp[:, k: k + stride * t_out: stride, :] += dcol[:, :, k, :]
+                dxp[:, k: k + span: stride, :] += (g2 @ wd[k].T).reshape(B, t_out, Cin)
             _accumulate(x, dxp[:, pad_left: pad_left + T, :])
         if w.requires_grad:
-            _accumulate(w, (col.T @ g2).reshape(K, Cin, Cout))
+            # one GEMM per sequence and tap, summed over the batch
+            xp = np.pad(xd, ((0, 0), (pad_left, pad_right), (0, 0)))
+            _accumulate(w, np.stack([
+                np.matmul(xp[:, k: k + span: stride, :].transpose(0, 2, 1), g).sum(axis=0)
+                for k in range(K)]))
         if b is not None and b.requires_grad:
             _accumulate(b, np.einsum("btc->c", g))
 
@@ -469,14 +495,13 @@ def max_pool(x: Tensor, width: int = 2) -> Tensor:
     if t_out == 0:
         raise ShapeError(f"signal length {T} shorter than pool width {width}")
     xr = x.data[:, : t_out * width, :].reshape(B, t_out, width, C)
-    idx = xr.argmax(axis=2)
+    idx = xr.argmax(axis=2).astype(np.min_scalar_type(width - 1))   # in-window offset
     out = np.take_along_axis(xr, idx[:, :, None, :], axis=2)[:, :, 0, :]
 
     def back(g):
-        dxr = np.zeros((B, t_out, width, C))
-        np.put_along_axis(dxr, idx[:, :, None, :], g[:, :, None, :], axis=2)
         dx = np.zeros((B, T, C))
-        dx[:, : t_out * width, :] = dxr.reshape(B, t_out * width, C)
+        dxr = dx[:, : t_out * width, :].reshape(B, t_out, width, C)    # a view of dx
+        np.put_along_axis(dxr, idx[:, :, None, :], g[:, :, None, :], axis=2)
         _accumulate(x, dx)
 
     return _make(out, (x,), back)
@@ -548,20 +573,22 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"gamma/beta must have shape ({C},), got {gamma.shape}/{beta.shape}")
 
     n = x.shape[0] * x.shape[1]
+    xd = x.data
     if training:
         # einsum reductions run about 3x faster than ndarray.sum over (0, 1)
-        mean = np.einsum("btc->c", x.data) / n
-        xc = x.data - mean
-        var = np.einsum("btc,btc->c", xc, xc) / n
+        mean = np.einsum("btc->c", xd) / n
+        data = xd - mean                        # centred input, normalized in place below
+        var = np.einsum("btc,btc->c", data, data) / n
         m = state.momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mean
         state.running_var = (1.0 - m) * state.running_var + m * var
     else:
-        xc = x.data - state.running_mean
+        mean = state.running_mean
+        data = xd - mean
         var = state.running_var
     inv = 1.0 / np.sqrt(var + state.eps)
     scale = gamma.data * inv
-    data = xc * scale
+    data *= scale
     data += beta.data
     if relu:
         np.maximum(data, 0.0, out=data)
@@ -569,6 +596,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     def back(g):
         if relu:
             g = g * (data > 0.0)
+        xc = xd - mean                          # recomputed: x is kept anyway
         gb = np.einsum("btc->c", g)
         gx = np.einsum("btc,btc->c", g, xc) * inv    # d loss / d gamma
         if gamma.requires_grad:
@@ -579,7 +607,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             dx = g * scale
             if training:
                 dx -= gb * (scale / n)
-                dx -= xc * (gx * (scale * inv / n))
+                xc *= gx * (scale * inv / n)
+                dx -= xc
             _accumulate(x, dx)
 
     return _make(data, (x, gamma, beta), back)
@@ -629,49 +658,71 @@ def _lstm_factors(z: np.ndarray, cells: np.ndarray, tanh_c: np.ndarray,
     return dh_dc, f
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     """Unidirectional LSTM over (batch, time, features); returns all hidden states.
 
-    wx is (features, 4*hidden), wh is (hidden, 4*hidden), b is (4*hidden,).
+    x is one (batch, time, features) tensor or a list of them that agree in
+    batch and time; a list acts as their concatenation along features, which
+    is never built: part k meets its own row block of wx.  wx is
+    (features, 4*hidden), wh is (hidden, 4*hidden), b is (4*hidden,).
     Gates are packed [input, forget, output, cell] and the initial hidden and
     cell states are zero.  The sigmoid gates use sigma(z) = 0.5 + 0.5*tanh(z/2):
     their weight and bias columns are halved (exact in binary floating point),
     so one tanh over the whole (B, 4H) gate row serves all four gates.
-    Backward is hand-rolled full-sequence BPTT; the input projection and its
-    gradients are GEMMs over the whole sequence, outside the step loop.
+    Backward is hand-rolled full-sequence BPTT, walked in chunks of steps;
+    each chunk's share of the weight and input gradients is a few GEMMs
+    outside the step loop.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"lstm input must be rank 3, got shape {x.shape}")
-    B, T, I = x.shape
+    parts = list(x) if isinstance(x, (list, tuple)) else [x]
+    if not parts or any(p.ndim != 3 for p in parts):
+        raise ShapeError(f"lstm inputs must be rank 3, got shapes {[p.shape for p in parts]}")
+    B, T = parts[0].shape[:2]
+    if any(p.shape[:2] != (B, T) for p in parts):
+        raise ShapeError(f"lstm inputs differ in batch or time: {[p.shape for p in parts]}")
+    I = sum(p.shape[2] for p in parts)
     H = wh.shape[0]
     if wx.shape != (I, 4 * H) or wh.shape != (H, 4 * H) or b.shape != (4 * H,):
         raise ShapeError(
-            f"lstm weights inconsistent: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+            f"lstm weights inconsistent: x {[p.shape for p in parts]}, wx {wx.shape}, "
+            f"wh {wh.shape}, b {b.shape}")
+    xs = [p.data for p in parts]
+    ends = np.cumsum([xk.shape[2] for xk in xs])
+    rows = [slice(end - xk.shape[2], end) for xk, end in zip(xs, ends)]
+    wxd, whd = wx.data, wh.data
 
-    # Input projection as one batched GEMM straight into time-major order;
-    # the recurrence then works on contiguous (B, 4H) rows with preallocated
+    # Input projection as batched GEMMs straight into time-major order; the
+    # recurrence then works on contiguous (B, 4H) rows with preallocated
     # buffers to keep the per-step python overhead down (this loop dominates
-    # training time).
+    # training time).  Later parts are added a chunk of steps at a time, so
+    # no second (T, B, 4H) array is made.
     half = np.ones(4 * H)
     half[: 3 * H] = 0.5
     shift = 1.0 - half                          # 0.5 on sigmoid gates, 0 on the cell gate
-    gates = np.matmul(x.data.transpose(1, 0, 2), wx.data * half)   # (T, B, 4H)
+    wxh = wxd * half
+    gates = np.matmul(xs[0].transpose(1, 0, 2), wxh[rows[0]])   # (T, B, 4H)
+    proj = np.empty((min(T, _LSTM_CHUNK), B, 4 * H))
+    for xk, rk in zip(xs[1:], rows[1:]):
+        for start in range(0, T, _LSTM_CHUNK):
+            gates_c = gates[start: start + _LSTM_CHUNK]
+            np.matmul(xk[:, start: start + _LSTM_CHUNK].transpose(1, 0, 2), wxh[rk],
+                      out=proj[: len(gates_c)])
+            gates_c += proj[: len(gates_c)]
     bias = b.data * half
-    whd = wh.data * half
+    whh = whd * half
     i_g = gates[:, :, :H]
     f_g = gates[:, :, H: 2 * H]
     o_g = gates[:, :, 2 * H: 3 * H]
     g_g = gates[:, :, 3 * H:]
     cells = np.empty((T, B, H))
-    tanh_c = np.empty((T, B, H))
     hiddens = np.empty((T, B, H))
     tmp = np.empty((B, H))
+    tc = np.empty((B, H))
     zbuf = np.empty((B, 4 * H))
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     for t in range(T):
         z = gates[t]
-        np.dot(h, whd, out=zbuf)
+        np.dot(h, whh, out=zbuf)
         z += zbuf
         z += bias
         np.tanh(z, out=z)
@@ -681,34 +732,47 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         np.multiply(f_g[t], c, out=c_t)
         np.multiply(i_g[t], g_g[t], out=tmp)
         c_t += tmp
-        h = hiddens[t]
-        tc = tanh_c[t]
         np.tanh(c_t, out=tc)
+        h = hiddens[t]
         np.multiply(o_g[t], tc, out=h)
         c = c_t
+    # the one copy of the hidden states kept: per-step rows of a (B, T, H)
+    # array would be strided and slow down the step loop's GEMM
     out = np.ascontiguousarray(hiddens.transpose(1, 0, 2))
 
     def back(g):
-        gt = np.ascontiguousarray(g.transpose(1, 0, 2))  # (T, B, H)
         dh = np.empty((B, H))
         dc = np.empty((B, H))
         dcf = np.zeros((B, H))                 # dc_next * f_next, carried back
         dhr = np.zeros((B, H))
-        wht = np.ascontiguousarray(wh.data.T)
+        chunk = min(T, _LSTM_CHUNK)
+        tanh_c = np.empty((chunk, B, H))
+        gt = np.empty((chunk, B, H))
+        wht = np.ascontiguousarray(whd.T)
+        wxt = np.ascontiguousarray(wxd.T)
+        dwx = np.zeros((I, 4 * H))
+        dwh = np.zeros((H, 4 * H))
+        db = np.zeros(4 * H)
+        dx = np.empty((T, B, I)) if any(p.requires_grad for p in parts) else None
         # Walk back over chunks of a few steps: the derivative factors of a
         # chunk are made in a handful of vectorized passes while its gate
         # rows are still in cache, then the step loop scales them in place
-        # into the gate pre-activation gradients.
+        # into the gate pre-activation gradients, and the chunk's share of
+        # every weight and input gradient is taken before it leaves the cache.
         for stop in range(T, 0, -_LSTM_CHUNK):
             start = max(0, stop - _LSTM_CHUNK)
+            n = stop - start
             part = gates[start: stop]          # gate values become gradients
             c_first = cells[start - 1] if start else np.zeros((B, H))
-            dh_dc, f = _lstm_factors(part, cells[start: stop], tanh_c[start: stop], c_first)
-            dz_if = part.reshape(stop - start, B, 4, H)[:, :, :2]
+            tc = np.tanh(cells[start: stop], out=tanh_c[:n])
+            dh_dc, f = _lstm_factors(part, cells[start: stop], tc, c_first)
+            dz_if = part.reshape(n, B, 4, H)[:, :, :2]
             dz_o = part[:, :, 2 * H: 3 * H]
             dz_g = part[:, :, 3 * H:]
-            for t in range(stop - start - 1, -1, -1):
-                np.add(gt[start + t], dhr, out=dh)
+            gc = gt[:n]
+            gc[...] = g[:, start: stop].transpose(1, 0, 2)
+            for t in range(n - 1, -1, -1):
+                np.add(gc[t], dhr, out=dh)
                 np.multiply(dh, dh_dc[t], out=dc)
                 dc += dcf
                 np.multiply(dc, f[t], out=dcf)
@@ -719,19 +783,23 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
                 d = dz_g[t]
                 d *= dc
                 np.dot(part[t], wht, out=dhr)
-        if wh.requires_grad:
-            # h_prev is zero at t = 0, so step 0 adds nothing to dwh
-            _accumulate(wh, hiddens[: T - 1].reshape((T - 1) * B, H).T @
-                        gates[1:].reshape((T - 1) * B, 4 * H))
-        dz = gates.reshape(T * B, 4 * H)
-        if wx.requires_grad:
-            # one GEMM per sequence, summed: no time-major copy of x needed
-            _accumulate(wx, np.matmul(x.data.transpose(0, 2, 1),
-                                      gates.transpose(1, 0, 2)).sum(axis=0))
-        if b.requires_grad:
-            _accumulate(b, np.ones(T * B) @ dz)     # a GEMV beats dz.sum(axis=0)
-        if x.requires_grad:
-            dx = (dz @ wx.data.T).reshape(T, B, I)
-            _accumulate(x, dx.transpose(1, 0, 2))
+            dz = part.reshape(n * B, 4 * H)
+            db += np.ones(n * B) @ dz            # a GEMV beats dz.sum(axis=0)
+            if wx.requires_grad:
+                for xk, rk in zip(xs, rows):
+                    x_t = np.ascontiguousarray(xk[:, start: stop].transpose(1, 0, 2))
+                    dwx[rk] += x_t.reshape(n * B, -1).T @ dz
+            lo = max(start, 1)                   # h_prev is zero at t = 0
+            if wh.requires_grad and lo < stop:
+                h_t = np.ascontiguousarray(out[:, lo - 1: stop - 1].transpose(1, 0, 2))
+                dwh += h_t.reshape(-1, H).T @ gates[lo: stop].reshape(-1, 4 * H)
+            if dx is not None:
+                np.dot(dz, wxt, out=dx[start: stop].reshape(n * B, I))
+        _accumulate(wx, dwx)
+        _accumulate(wh, dwh)
+        _accumulate(b, db)
+        for p, rk in zip(parts, rows):
+            if p.requires_grad:
+                _accumulate(p, dx[:, :, rk].transpose(1, 0, 2))
 
-    return _make(out, (x, wx, wh, b), back)
+    return _make(out, (*parts, wx, wh, b), back)

@@ -88,7 +88,8 @@ class LSTM:
         b[hidden: 2 * hidden] = 1.0  # forget-gate block of the [i,f,o,g] packing
         self.b = Tensor(b, requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: "Tensor | list[Tensor]") -> Tensor:
+        """x is one input or a list read as one feature axis (see ``ad.lstm``)."""
         return ad.lstm(x, self.wx, self.wh, self.b)
 
     def parameters(self) -> "list[Tensor]":

@@ -3,8 +3,9 @@
 An RFR block runs three parallel views of its input: a 1x1-conv shortcut,
 a variational conv on the signal, and a variational conv on the
 time-reversed signal (un-reversed afterwards so features stay aligned).
-The two conv paths are concatenated and fused by an LSTM, then the fused
-features are concatenated with the shortcut and refined by a second LSTM.
+The two conv paths are fused by an LSTM that takes both as its input, then
+the fused features and the shortcut are refined by a second LSTM.  Each LSTM
+reads its two inputs side by side as one feature axis without building it.
 Every stage is followed by batch normalization and the block activation;
 a ReLU activation runs inside the batch-norm node.
 
@@ -135,10 +136,8 @@ class RfrBlock:
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
         s, f, b = self.path_features(x, training, rng)
-        fused = self._norm_act(
-            self.bn_fuse, self.fusion_lstm.forward(ad.concat([f, b], axis=-1)), training)
-        return self._norm_act(
-            self.bn_refine, self.refine_lstm.forward(ad.concat([fused, s], axis=-1)), training)
+        fused = self._norm_act(self.bn_fuse, self.fusion_lstm.forward([f, b]), training)
+        return self._norm_act(self.bn_refine, self.refine_lstm.forward([fused, s]), training)
 
     def kl(self) -> Tensor:
         return self.fwd_conv.kl() + self.bwd_conv.kl()

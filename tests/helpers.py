@@ -49,3 +49,31 @@ def gradcheck(build, arrays, tol: float = 1e-6, step: float = 1e-5):
         worst = max(worst, err)
         assert err < tol, f"arg {i}: gradient mismatch, rel err {err:.3e}"
     return worst
+
+
+def graph_bytes(loss) -> int:
+    """Bytes held by the graph below ``loss``: the distinct base arrays of
+    every node's data and of the ndarrays its backward closure captured
+    (directly, or inside a list or tuple).  Views count once, by their base."""
+    bases: "dict[int, np.ndarray]" = {}
+
+    def add(arr) -> None:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        bases[id(arr)] = arr
+
+    seen: "set[int]" = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        add(node.data)
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            value = cell.cell_contents
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, np.ndarray):
+                    add(item)
+        stack.extend(node._parents)
+    return sum(arr.nbytes for arr in bases.values())

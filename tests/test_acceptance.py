@@ -286,6 +286,7 @@ def desk_run(tmp_path_factory):
             "runtime": time.time() - t0}
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_learning(desk_run):
     rep = desk_run["result"].report
     epochs = desk_run["result"].state.epoch
@@ -297,6 +298,7 @@ def test_criterion_7_desk_scale_learning(desk_run):
              f"{runtime:.0f}s, ece {rep.ece:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_8_robustness_trend(desk_run):
     segments = desk_run["segments"]
     arrays, meta = load_checkpoint(desk_run["result"].state.checkpoint_path)
@@ -328,6 +330,7 @@ def _cli(argv) -> None:
     assert rc == 0, buf.getvalue()
 
 
+@pytest.mark.slow
 def test_criterion_9_runs_are_byte_identical(tmp_path):
     manifest = write_wav_dataset(tmp_path / "data", 12, Rng(3), seconds=4.0)
     cache = tmp_path / "segments.qivc"

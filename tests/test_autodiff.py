@@ -225,6 +225,20 @@ def test_global_max_pool_example_and_grads():
     gradcheck(lambda ts: ad.tsum(ad.global_max_pool(ts[0] * ts[0])), [xr])
 
 
+def test_max_pool_grads_with_offsets_past_uint8():
+    # in-window offsets are saved in the smallest unsigned type: uint16 here
+    width = 257
+    x = RNG.normal(size=(2, 2 * width + 3, 2))
+    x[0, width - 1, 0] = 10.0                     # offset 256 of the first window
+    t = Tensor(x, requires_grad=True)
+    ad.backward(ad.tsum(ad.max_pool(t, width)))
+    want = np.zeros_like(x)
+    for b, w, c in np.ndindex(2, 2, 2):
+        want[b, w * width + np.argmax(x[b, w * width: (w + 1) * width, c]), c] = 1.0
+    assert want[0, width - 1, 0] == 1.0
+    assert np.array_equal(t.grad, want)
+
+
 def test_max_pool_routes_grad_to_argmax_only():
     x = Tensor(np.array([[[1.0], [4.0], [2.0], [3.0]]]), requires_grad=True)
     ad.backward(ad.tsum(ad.max_pool(x, 2)))
@@ -406,6 +420,109 @@ def test_lstm_shape_errors():
                 Tensor(np.ones((2, 8))), Tensor(np.ones(8)))
 
 
+def _lstm_parts(rng, widths, B=2, T=2 * ad._LSTM_CHUNK + 3, H=3):
+    parts = [rng.normal(size=(B, T, w)) for w in widths]
+    wx = rng.normal(size=(sum(widths), 4 * H)) * 0.5
+    wh = rng.normal(size=(H, 4 * H)) * 0.5
+    b = rng.normal(size=4 * H)
+    return parts, wx, wh, b
+
+
+def test_lstm_list_input_grads():
+    rng = np.random.default_rng(80)
+    parts, wx, wh, b = _lstm_parts(rng, (2, 3), T=ad._LSTM_CHUNK + 2, H=2)
+    wgt = rng.normal(size=(2, ad._LSTM_CHUNK + 2, 2))
+    gradcheck(lambda ts: ad.tsum(ad.lstm(ts[:2], *ts[2:]) * Tensor(wgt)),
+              parts + [wx, wh, b])
+
+
+def test_lstm_list_input_matches_concatenated_input():
+    rng = np.random.default_rng(81)
+    parts, wx, wh, b = _lstm_parts(rng, (2, 3))
+    parts[1] = parts[1][:, ::-1, :]       # a time-reversed view, as the network passes
+    g = rng.normal(size=(2, parts[0].shape[1], 3))
+    runs = []
+    for joined in (False, True):
+        xs = [Tensor(p, requires_grad=True) for p in parts]
+        ws = [Tensor(a, requires_grad=True) for a in (wx, wh, b)]
+        x = ad.concat(xs, axis=-1) if joined else xs
+        out = ad.lstm(x, *ws)
+        ad.backward(ad.tsum(out * Tensor(g)))
+        runs.append([out.data] + [t.grad for t in xs + ws])
+    for got, want in zip(*runs):
+        assert np.max(np.abs(got - want)) < 1e-12
+    wx_grad = runs[0][3]
+    assert np.max(np.abs(wx_grad[:2] - runs[1][3][:2])) < 1e-12   # row block of part 0
+    assert np.max(np.abs(wx_grad[2:] - runs[1][3][2:])) < 1e-12   # row block of part 1
+
+
+def test_lstm_list_input_shape_errors():
+    w = [Tensor(np.ones((5, 8))), Tensor(np.ones((2, 8))), Tensor(np.ones(8))]
+    with pytest.raises(ShapeError):      # batch differs
+        ad.lstm([Tensor(np.ones((2, 4, 2))), Tensor(np.ones((3, 4, 3)))], *w)
+    with pytest.raises(ShapeError):      # time differs
+        ad.lstm([Tensor(np.ones((2, 4, 2))), Tensor(np.ones((2, 5, 3)))], *w)
+    with pytest.raises(ShapeError):      # features do not add up to wx's rows
+        ad.lstm([Tensor(np.ones((2, 4, 2))), Tensor(np.ones((2, 4, 2)))], *w)
+
+
+# ------------------------------------------------------ saved for backward
+
+def _captured_input_cases():
+    """(name, parent arrays, op on parent tensors, batch-norm state or None)."""
+    rng = np.random.default_rng(82)
+    a = lambda *shape: rng.normal(size=shape)
+    cases = []
+    for training in (True, False):
+        st = BatchNormState(3)
+        st.running_mean, st.running_var = a(3), np.abs(a(3)) + 0.5
+        cases.append((f"batch_norm training={training}", [a(2, 5, 3), a(3), a(3)],
+                      lambda ts, st=st, tr=training: ad.batch_norm(*ts, st, tr, relu=True),
+                      st))
+    cases += [
+        ("conv1d", [a(2, 7, 2), a(3, 2, 3), a(3)], lambda ts: ad.conv1d(*ts), None),
+        ("lstm", [a(2, 5, 3), a(3, 8), a(2, 8), a(8)], lambda ts: ad.lstm(*ts), None),
+        ("lstm list", [a(2, 5, 1), a(2, 5, 2), a(3, 8), a(2, 8), a(8)],
+         lambda ts: ad.lstm(ts[:2], *ts[2:]), None),
+        ("reverse_time", [a(2, 5, 3)], lambda ts: ad.reverse_time(ts[0]), None),
+        ("max_pool", [a(2, 6, 3)], lambda ts: ad.max_pool(ts[0], 2), None),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _captured_input_cases(), ids=lambda c: c[0])
+def test_ops_work_on_read_only_inputs(case):
+    _, arrays, op, _ = case
+    ts = [Tensor(arr.copy(), requires_grad=True) for arr in arrays]
+    for t in ts:
+        t.data.flags.writeable = False
+    out = op(ts)
+    out._backward(np.ones(out.shape))
+    assert all(t.grad is not None and np.all(np.isfinite(t.grad)) for t in ts)
+
+
+@pytest.mark.parametrize("case", _captured_input_cases(), ids=lambda c: c[0])
+def test_backward_uses_the_inputs_seen_at_forward_time(case):
+    # load_state rebinds .data between steps; a closure must not read it late
+    _, arrays, op, st = case
+    g = np.random.default_rng(83).normal(size=op([Tensor(a) for a in arrays]).shape)
+    grads = []
+    for rebind in (False, True):
+        if st is not None:
+            st.running_mean, st.running_var = arrays[1].copy(), np.abs(arrays[2]) + 0.5
+        ts = [Tensor(arr.copy(), requires_grad=True) for arr in arrays]
+        out = op(ts)
+        if rebind:
+            for t in ts:
+                t.data = t.data * 3.0 + 1.0
+            if st is not None:
+                st.running_mean, st.running_var = st.running_mean + 1.0, st.running_var * 2.0
+        out._backward(g)
+        grads.append([t.grad for t in ts])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------------------- backward
 
 def test_backward_requires_scalar():
@@ -436,6 +553,7 @@ def test_backward_never_writes_into_the_incoming_gradient():
         ad.conv1d(p(2, 6, 2), p(3, 2, 3), p(3)), ad.max_pool(p(2, 6, 3)),
         ad.global_max_pool(p(2, 6, 3)), ad.softmax(p(2, 3)),
         ad.lstm(p(2, 5, 2), p(2, 12), p(3, 12), p(12)),
+        ad.lstm([p(2, 5, 1), p(2, 5, 1)], p(2, 12), p(3, 12), p(12)),
     ]
     for training in (True, False):
         for relu in (True, False):

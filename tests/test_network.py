@@ -4,7 +4,7 @@ determinism, checkpoint fidelity, end-to-end gradients."""
 import numpy as np
 import pytest
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, graph_bytes, rel_err
 from qivcnet import autodiff as ad
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
@@ -263,6 +263,23 @@ def test_shapes_through_pooling():
                            pool_between=False, seed=0)
     z2 = QivcNet(nopool).features(x, training=False)
     assert z2.shape == (2, 3)
+
+
+# ------------------------------------------------------------- graph memory
+
+def test_training_graph_holds_only_what_backward_needs():
+    # Pinned at the default network's training objective.  Each op keeps only
+    # what its backward cannot cheaply rebuild, so a change that starts to
+    # save a centred input, an im2col matrix, a joined LSTM input or a second
+    # copy of the hidden states again fails here.
+    cfg = NetworkConfig()
+    net = QivcNet(cfg)
+    x = Tensor(Rng(22).normal((4, 64, 1)))
+    probs = net.forward(x, training=True, rng=Rng(23))
+    task, _, _, _ = composite_loss(probs, one_hot(np.array([0, 1, 0, 1])),
+                                   LossWeights(), update_weights=False)
+    objective = total_loss(task, net.kl(), cfg.kl_scale)
+    assert graph_bytes(objective) == 2_328_360
 
 
 # ---------------------------------------------------------------- gradients
