@@ -16,16 +16,16 @@ from .linalg import haar_so, householder_qr, orthonormal_basis
 from .metrics import MetricsReport, compute_metrics
 from .network import NetworkConfig, QivcNet
 from .preprocess import Recording, Segment
-from .qire import NoiseTensor, QireConfig, qire_sample
+from .qire import QireConfig, qire_sample
 from .rng import Rng
-from .variational import LayerConfig, VariationalKernel
+from .variational import QiVConv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DataError", "GraphError", "LayerConfig", "MetricsReport",
-    "NetworkConfig", "NoiseTensor", "NumericalError", "QireConfig",
-    "QivcError", "QivcNet", "Recording", "Rng", "Segment", "ShapeError",
-    "Tensor", "VariationalKernel", "backward", "compute_metrics", "haar_so",
-    "householder_qr", "orthonormal_basis", "qire_sample",
+    "ConfigError", "DataError", "GraphError", "MetricsReport", "NetworkConfig",
+    "NumericalError", "QiVConv", "QireConfig", "QivcError", "QivcNet",
+    "Recording", "Rng", "Segment", "ShapeError", "Tensor", "backward",
+    "compute_metrics", "haar_so", "householder_qr", "orthonormal_basis",
+    "qire_sample",
 ]

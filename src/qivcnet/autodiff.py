@@ -71,12 +71,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -426,12 +420,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # structured ops: convolution, pooling, softmax, batch norm, LSTM
 # ---------------------------------------------------------------------
 
-def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
     """1-D convolution with zero "same" padding.
 
     x is (batch, time, c_in), w is (width, c_in, c_out), optional bias is
-    (c_out,).  The left pad is width // 2 and the output length is
-    time // stride (floor), so stride 1 preserves the input length.
+    (c_out,).  The left pad is width // 2, so the output keeps the input
+    length.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d input must be rank 3, got shape {x.shape}")
@@ -443,39 +437,31 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride: int = 1) -> 
         raise ShapeError(f"kernel in_channels={KCin} does not match input channels={Cin}")
     if b is not None and b.shape != (Cout,):
         raise ShapeError(f"bias shape {b.shape} does not match out_channels={Cout}")
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
     if K > T:
         raise ShapeError(f"kernel width {K} exceeds signal length {T}")
 
-    t_out = T // stride
-    pad_left = K // 2
-    # rightmost input index touched is (t_out-1)*stride + K-1 - pad_left
-    pad_right = max(0, (t_out - 1) * stride + K - 1 - pad_left - (T - 1))
+    pad = ((0, 0), (K // 2, K - 1 - K // 2), (0, 0))
     xd, wd = x.data, w.data
-    # im2col: the (batch*t_out, width*c_in) window matrix makes the forward
+    # im2col: the (batch*time, width*c_in) window matrix makes the forward
     # one GEMM; it is dropped once used, and backward works per kernel tap
-    xp = np.pad(xd, ((0, 0), (pad_left, pad_right), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=1)
-    win = win[:, :: stride, :, :][:, : t_out]          # (B, t_out, Cin, K)
-    col = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(B * t_out, K * Cin)
-    out = (col @ wd.reshape(K * Cin, Cout)).reshape(B, t_out, Cout)
+    taps = np.arange(T)[:, None] + np.arange(K)          # padded positions read
+    col = np.pad(xd, pad).take(taps, axis=1).reshape(B * T, K * Cin)
+    out = (col @ wd.reshape(K * Cin, Cout)).reshape(B, T, Cout)
     if b is not None:
         out += b.data
-    span = stride * t_out               # padded positions tap k reads: k, k+stride, ...
 
     def back(g):
         if x.requires_grad:
-            g2 = g.reshape(B * t_out, Cout)
-            dxp = np.zeros((B, T + pad_left + pad_right, Cin))
+            g2 = g.reshape(B * T, Cout)
+            dxp = np.zeros((B, T + K - 1, Cin))
             for k in range(K):
-                dxp[:, k: k + span: stride, :] += (g2 @ wd[k].T).reshape(B, t_out, Cin)
-            _accumulate(x, dxp[:, pad_left: pad_left + T, :])
+                dxp[:, k: k + T, :] += (g2 @ wd[k].T).reshape(B, T, Cin)
+            _accumulate(x, dxp[:, K // 2: K // 2 + T, :])
         if w.requires_grad:
             # one GEMM per sequence and tap, summed over the batch
-            xp = np.pad(xd, ((0, 0), (pad_left, pad_right), (0, 0)))
+            xp = np.pad(xd, pad)
             _accumulate(w, np.stack([
-                np.matmul(xp[:, k: k + span: stride, :].transpose(0, 2, 1), g).sum(axis=0)
+                np.matmul(xp[:, k: k + T, :].transpose(0, 2, 1), g).sum(axis=0)
                 for k in range(K)]))
         if b is not None and b.requires_grad:
             _accumulate(b, np.einsum("btc->c", g))
@@ -737,7 +723,7 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
         np.multiply(o_g[t], tc, out=h)
         c = c_t
     # the one copy of the hidden states kept: per-step rows of a (B, T, H)
-    # array would be strided and slow down the step loop's GEMM
+    # array would not be contiguous and would slow down the step loop's GEMM
     out = np.ascontiguousarray(hiddens.transpose(1, 0, 2))
 
     def back(g):

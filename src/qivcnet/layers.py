@@ -1,9 +1,14 @@
-"""Parameter-holding layer wrappers around the autodiff ops.
+"""Parameter-holding layers and the parameter tree they share.
+
+Every layer declares its arrays and sub-layers once, in ``parts()``:
+learnable ``Tensor`` parameters, plain ``ndarray`` buffers (batch-norm
+running statistics) and child layers, in checkpoint order.  ``named_arrays``
+walks that declaration into dotted names such as ``block0.bn_fuse.gamma``,
+and ``parameters()`` for the optimizer, ``state_arrays()`` for
+checkpointing and ``load_state()`` all derive from it.
 
 These are the deterministic building blocks (plain convolution, batch norm,
-LSTM, dense); the variational convolution lives in its own module.  Each
-layer exposes ``parameters()`` for the optimizer and ``state_arrays()`` for
-checkpointing (parameters plus any non-learned running statistics).
+LSTM, dense); the variational convolution lives in its own module.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
+from .errors import ConfigError
 from .rng import Rng
 
 
@@ -22,61 +28,103 @@ def _glorot(rng: Rng, shape: "tuple[int, ...]", fan_in: int, fan_out: int) -> np
     return rng.uniform(-limit, limit, shape)
 
 
-class Conv1d:
+def named_arrays(layer: "Layer", prefix: str = ""):
+    """Yield (dotted name, owning layer, attribute, value) for every tensor
+    and buffer under ``layer``, in declaration order."""
+    for name, part in layer.parts().items():
+        if isinstance(part, Layer):
+            yield from named_arrays(part, f"{prefix}{name}.")
+        else:
+            yield prefix + name, layer, name, part
+
+
+class Layer:
+    """A node of the parameter tree.
+
+    ``PARTS`` names the attributes that hold this layer's tensors, buffers
+    and sub-layers, in checkpoint order; a layer whose parts are not fixed
+    attributes overrides ``parts()`` instead.
+    """
+
+    PARTS: "tuple[str, ...]" = ()
+
+    def parts(self) -> "dict[str, Tensor | np.ndarray | Layer]":
+        return {name: getattr(self, name) for name in self.PARTS}
+
+    def named_parameters(self) -> "dict[str, Tensor]":
+        return {name: value for name, _, _, value in named_arrays(self)
+                if isinstance(value, Tensor)}
+
+    def parameters(self) -> "list[Tensor]":
+        return list(self.named_parameters().values())
+
+    def state_arrays(self) -> "dict[str, np.ndarray]":
+        """Parameters and buffers by dotted name (the checkpoint arrays)."""
+        return {name: value.data if isinstance(value, Tensor) else value
+                for name, _, _, value in named_arrays(self)}
+
+    def load_state(self, arrays: "dict[str, np.ndarray]") -> None:
+        """Rebind every array to ``arrays[name]``; the names and shapes must
+        match this layer's exactly."""
+        own = self.state_arrays()
+        missing = set(own) - set(arrays)
+        if missing:
+            raise ConfigError(f"checkpoint missing arrays: {sorted(missing)[:4]}...")
+        unexpected = set(arrays) - set(own)
+        if unexpected:
+            raise ConfigError(f"checkpoint has {len(unexpected)} arrays this architecture "
+                              f"does not use: {sorted(unexpected)[:4]}...")
+        mismatched = [key for key in own if arrays[key].shape != own[key].shape]
+        if mismatched:
+            raise ConfigError(
+                f"checkpoint arrays do not fit this architecture: {mismatched[:4]}")
+        for name, owner, attr, value in named_arrays(self):
+            if isinstance(value, Tensor):
+                value.data = arrays[name]
+            else:
+                setattr(owner, attr, arrays[name])
+
+
+class Conv1d(Layer):
     """Deterministic 1-D convolution (used by the shortcut path)."""
 
-    def __init__(self, width: int, c_in: int, c_out: int, rng: Rng, stride: int = 1):
-        self.stride = stride
+    PARTS = ("w", "b")
+
+    def __init__(self, width: int, c_in: int, c_out: int, rng: Rng):
         self.w = Tensor(_glorot(rng, (width, c_in, c_out), width * c_in, c_out),
                         requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, self.w, self.b, stride=self.stride)
-
-    def parameters(self) -> "list[Tensor]":
-        return [self.w, self.b]
-
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        return {"w": self.w.data, "b": self.b.data}
-
-    def load_state(self, arrays: "dict[str, np.ndarray]") -> None:
-        self.w.data = arrays["w"]
-        self.b.data = arrays["b"]
+        return ad.conv1d(x, self.w, self.b)
 
 
-class BatchNorm:
-    """Per-channel batch normalization with learnable scale and shift."""
+class BatchNorm(Layer, BatchNormState):
+    """Per-channel batch normalization with learnable scale and shift.
+
+    The layer is its own running-statistics state, so the running mean and
+    variance are buffers of the parameter tree.
+    """
+
+    PARTS = ("gamma", "beta", "running_mean", "running_var")
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+        BatchNormState.__init__(self, channels, momentum=momentum, eps=eps)
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.state = BatchNormState(channels, momentum=momentum, eps=eps)
 
     def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
-        return ad.batch_norm(x, self.gamma, self.beta, self.state, training, relu=relu)
-
-    def parameters(self) -> "list[Tensor]":
-        return [self.gamma, self.beta]
-
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        return {"gamma": self.gamma.data, "beta": self.beta.data,
-                "running_mean": self.state.running_mean,
-                "running_var": self.state.running_var}
-
-    def load_state(self, arrays: "dict[str, np.ndarray]") -> None:
-        self.gamma.data = arrays["gamma"]
-        self.beta.data = arrays["beta"]
-        self.state.running_mean = arrays["running_mean"]
-        self.state.running_var = arrays["running_var"]
+        return ad.batch_norm(x, self.gamma, self.beta, self, training, relu=relu)
 
 
-class LSTM:
+class LSTM(Layer):
     """Single-layer unidirectional LSTM returning the full hidden sequence.
 
     The forget-gate bias starts at 1.0 so early training does not wash out
     the cell state; the remaining biases start at zero.
     """
+
+    PARTS = ("wx", "wh", "b")
 
     def __init__(self, c_in: int, hidden: int, rng: Rng):
         self.hidden = hidden
@@ -92,20 +140,11 @@ class LSTM:
         """x is one input or a list read as one feature axis (see ``ad.lstm``)."""
         return ad.lstm(x, self.wx, self.wh, self.b)
 
-    def parameters(self) -> "list[Tensor]":
-        return [self.wx, self.wh, self.b]
 
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        return {"wx": self.wx.data, "wh": self.wh.data, "b": self.b.data}
-
-    def load_state(self, arrays: "dict[str, np.ndarray]") -> None:
-        self.wx.data = arrays["wx"]
-        self.wh.data = arrays["wh"]
-        self.b.data = arrays["b"]
-
-
-class Dense:
+class Dense(Layer):
     """Affine map on the last axis."""
+
+    PARTS = ("w", "b")
 
     def __init__(self, c_in: int, c_out: int, rng: Rng):
         self.w = Tensor(_glorot(rng, (c_in, c_out), c_in, c_out), requires_grad=True)
@@ -113,13 +152,3 @@ class Dense:
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w) + self.b
-
-    def parameters(self) -> "list[Tensor]":
-        return [self.w, self.b]
-
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        return {"w": self.w.data, "b": self.b.data}
-
-    def load_state(self, arrays: "dict[str, np.ndarray]") -> None:
-        self.w.data = arrays["w"]
-        self.b.data = arrays["b"]

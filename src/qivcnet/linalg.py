@@ -9,8 +9,6 @@ from the Haar measure on SO(k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, ShapeError
@@ -22,26 +20,6 @@ _RANK_TOL = 1e-12
 # Gaussian matrices are almost surely full rank; a handful of retries is
 # already astronomically more than needed.
 _MAX_RESAMPLE = 8
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a k-dimensional subspace of R^n.
-
-    ``q`` has shape (n, k) with q.T @ q = I_k.
-    """
-
-    q: np.ndarray
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
-class RotationMatrix:
-    """Element of SO(k): ``u`` is (k, k) with u.T @ u = I and det(u) = +1."""
-
-    u: np.ndarray
-    k: int
 
 
 def householder_qr(m: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -63,8 +41,11 @@ def householder_qr(m: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return q, r
 
 
-def orthonormal_basis(n: int, k: int, rng: Rng) -> SubspaceBasis:
-    """Random k-dimensional orthonormal basis in R^n from a Gaussian draw."""
+def orthonormal_basis(n: int, k: int, rng: Rng) -> np.ndarray:
+    """Random k-dimensional orthonormal basis in R^n from a Gaussian draw.
+
+    Returns q of shape (n, k) with q.T @ q = I_k.
+    """
     if not 1 <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got k={k}, n={n}")
     for _ in range(_MAX_RESAMPLE):
@@ -73,12 +54,12 @@ def orthonormal_basis(n: int, k: int, rng: Rng) -> SubspaceBasis:
             q, _ = householder_qr(g)
         except NumericalError:
             continue
-        return SubspaceBasis(q=q, n=n, k=k)
+        return q
     raise NumericalError(f"could not draw a full-rank ({n}, {k}) Gaussian matrix")
 
 
-def haar_so(k: int, rng: Rng) -> RotationMatrix:
-    """Haar-distributed rotation in SO(k).
+def haar_so(k: int, rng: Rng) -> np.ndarray:
+    """Haar-distributed rotation in SO(k): u is (k, k), u.T @ u = I, det(u) = +1.
 
     QR of a Gaussian (k, k) matrix gives a Haar draw from O(k) once each
     column of Q is scaled by the sign of the matching diagonal entry of R.
@@ -98,5 +79,5 @@ def haar_so(k: int, rng: Rng) -> RotationMatrix:
         if np.linalg.det(u) < 0.0:
             u = u.copy()
             u[:, 0] = -u[:, 0]
-        return RotationMatrix(u=u, k=k)
+        return u
     raise NumericalError(f"could not draw a full-rank ({k}, {k}) Gaussian matrix")

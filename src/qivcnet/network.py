@@ -23,10 +23,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .layers import BatchNorm, Conv1d, Dense, LSTM
+from .layers import BatchNorm, Conv1d, Dense, Layer, LSTM
 from .qire import QireConfig
 from .rng import Rng
-from .variational import LayerConfig, QiVConv
+from .variational import QiVConv
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,20 @@ def config_from_dict(d: dict) -> NetworkConfig:
         raise ConfigError(f"architecture dictionary missing key {exc}") from exc
 
 
-class RfrBlock:
+class RfrBlock(Layer):
     """One reversal-fusion-residual block."""
+
+    PARTS = ("fwd_conv", "bwd_conv", "shortcut", "fusion_lstm", "refine_lstm",
+             "bn_fwd", "bn_bwd", "bn_short", "bn_fuse", "bn_refine")
 
     def __init__(self, c_in: int, filters: int, width: int,
                  cfg: NetworkConfig, rng: Rng):
         self.filters = filters
         self.act = ad.ACTIVATIONS[cfg.activation]
         self.fuse_relu = cfg.activation == "relu"
-        # conv paths apply their activation after batch norm, hence identity here
-        conv_cfg = LayerConfig(qire=cfg.qire, kl_scale=cfg.kl_scale,
-                               activation="identity", stride=1)
-        self.fwd_conv = QiVConv(width, c_in, filters, conv_cfg, cfg.prior_var, rng)
-        self.bwd_conv = QiVConv(width, c_in, filters, conv_cfg, cfg.prior_var, rng)
+        # conv paths apply their activation after batch norm
+        self.fwd_conv = QiVConv(width, c_in, filters, cfg.qire, cfg.prior_var, rng)
+        self.bwd_conv = QiVConv(width, c_in, filters, cfg.qire, cfg.prior_var, rng)
         self.shortcut = Conv1d(1, c_in, filters, rng)
         self.fusion_lstm = LSTM(2 * filters, filters, rng)
         self.refine_lstm = LSTM(2 * filters, filters, rng)
@@ -142,49 +143,8 @@ class RfrBlock:
     def kl(self) -> Tensor:
         return self.fwd_conv.kl() + self.bwd_conv.kl()
 
-    def parameters(self) -> "list[Tensor]":
-        params: "list[Tensor]" = []
-        for part in (self.fwd_conv, self.bwd_conv, self.shortcut,
-                     self.fusion_lstm, self.refine_lstm,
-                     self.bn_fwd, self.bn_bwd, self.bn_short,
-                     self.bn_fuse, self.bn_refine):
-            params.extend(part.parameters())
-        return params
 
-    def _named_parts(self) -> "dict[str, object]":
-        return {"fwd_conv": self.fwd_conv, "bwd_conv": self.bwd_conv,
-                "shortcut": self.shortcut, "fusion_lstm": self.fusion_lstm,
-                "refine_lstm": self.refine_lstm, "bn_fwd": self.bn_fwd,
-                "bn_bwd": self.bn_bwd, "bn_short": self.bn_short,
-                "bn_fuse": self.bn_fuse, "bn_refine": self.bn_refine}
-
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        out: "dict[str, np.ndarray]" = {}
-        for name, part in self._named_parts().items():
-            if isinstance(part, QiVConv):
-                vk = part.vk
-                arrays = {"mu_w": vk.mu_w.data, "rho_w": vk.rho_w.data,
-                          "mu_b": vk.mu_b.data, "rho_b": vk.rho_b.data}
-            else:
-                arrays = part.state_arrays()
-            for key, arr in arrays.items():
-                out[f"{name}.{key}"] = arr
-        return out
-
-    def load_state(self, arrays: "dict[str, np.ndarray]") -> None:
-        for name, part in self._named_parts().items():
-            sub = {key[len(name) + 1:]: arr for key, arr in arrays.items()
-                   if key.startswith(name + ".")}
-            if isinstance(part, QiVConv):
-                part.vk.mu_w.data = sub["mu_w"]
-                part.vk.rho_w.data = sub["rho_w"]
-                part.vk.mu_b.data = sub["mu_b"]
-                part.vk.rho_b.data = sub["rho_b"]
-            else:
-                part.load_state(sub)
-
-
-class QivcNet:
+class QivcNet(Layer):
     """Stacked RFR blocks with a pooled dense softmax head."""
 
     def __init__(self, cfg: NetworkConfig, rng: "Rng | None" = None):
@@ -220,42 +180,11 @@ class QivcNet:
             total = total + block.kl()
         return total
 
-    def parameters(self) -> "list[Tensor]":
-        params: "list[Tensor]" = []
-        for block in self.blocks:
-            params.extend(block.parameters())
-        params.extend(self.hidden.parameters())
-        params.extend(self.head.parameters())
-        return params
-
-    def state_arrays(self) -> "dict[str, np.ndarray]":
-        out: "dict[str, np.ndarray]" = {}
-        for i, block in enumerate(self.blocks):
-            for key, arr in block.state_arrays().items():
-                out[f"block{i}.{key}"] = arr
-        for key, arr in self.hidden.state_arrays().items():
-            out[f"hidden.{key}"] = arr
-        for key, arr in self.head.state_arrays().items():
-            out[f"head.{key}"] = arr
-        return out
-
-    def load_state(self, arrays: "dict[str, np.ndarray]") -> None:
-        own = self.state_arrays()
-        missing = set(own) - set(arrays)
-        if missing:
-            raise ConfigError(f"checkpoint missing arrays: {sorted(missing)[:4]}...")
-        mismatched = [key for key in own if arrays[key].shape != own[key].shape]
-        if mismatched:
-            raise ConfigError(
-                f"checkpoint arrays do not fit this architecture: {mismatched[:4]}")
-        for i, block in enumerate(self.blocks):
-            prefix = f"block{i}."
-            block.load_state({key[len(prefix):]: arr for key, arr in arrays.items()
-                              if key.startswith(prefix)})
-        self.hidden.load_state({key[7:]: arr for key, arr in arrays.items()
-                                if key.startswith("hidden.")})
-        self.head.load_state({key[5:]: arr for key, arr in arrays.items()
-                              if key.startswith("head.")})
+    def parts(self) -> "dict[str, Layer]":
+        parts: "dict[str, Layer]" = {f"block{i}": block for i, block in enumerate(self.blocks)}
+        parts["hidden"] = self.hidden
+        parts["head"] = self.head
+        return parts
 
 
 def segments_to_batch(segments) -> np.ndarray:

@@ -19,7 +19,7 @@ With p = 0 the output therefore stays exactly on the unit sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +52,6 @@ class QireConfig:
             raise ConfigError(f"decoherence probability must be in [0, 1], got {self.p}")
 
 
-@dataclass(frozen=True)
-class NoiseTensor:
-    """A single structured-noise draw, reshaped to the kernel shape."""
-
-    values: np.ndarray
-    kernel_shape: "tuple[int, ...]"
-    norm: float
-
-
 @dataclass
 class NoiseStats:
     """Monte-Carlo summary of the sampler, exportable as a CSV row."""
@@ -91,28 +82,26 @@ def _sample_flat(n: int, config: QireConfig, rng: Rng) -> "tuple[np.ndarray, np.
             f"subspace dimension k={config.k} exceeds kernel size N={n}")
     eps0 = rng.normal(n)
     eps = eps0 / np.linalg.norm(eps0)
-    basis = orthonormal_basis(n, config.k, rng)
-    rot = haar_so(config.k, rng)
-    coeff = basis.q.T @ eps
-    eps_final = eps - basis.q @ coeff + basis.q @ (rot.u @ coeff)
+    q = orthonormal_basis(n, config.k, rng)
+    u = haar_so(config.k, rng)
+    coeff = q.T @ eps
+    eps_final = eps - q @ coeff + q @ (u @ coeff)
     if config.p > 0.0:
         keep = rng.bernoulli(1.0 - config.p, n)
         eps_final = np.where(keep, eps_final, 1.0 / math.sqrt(n))
     if config.rescale_sqrt_n:
         eps_final = eps_final * math.sqrt(n)
-    return eps_final, basis.q
+    return eps_final, q
 
 
-def qire_sample(kernel_shape: "tuple[int, ...]", config: QireConfig, rng: Rng) -> NoiseTensor:
+def qire_sample(kernel_shape: "tuple[int, ...]", config: QireConfig, rng: Rng) -> np.ndarray:
     """Draw one structured-noise tensor for a kernel of the given shape."""
     kernel_shape = tuple(int(d) for d in kernel_shape)
     if len(kernel_shape) == 0 or any(d < 1 for d in kernel_shape):
         raise ShapeError(f"kernel shape must have positive dims, got {kernel_shape}")
     n = int(np.prod(kernel_shape))
     flat, _ = _sample_flat(n, config, rng)
-    return NoiseTensor(values=flat.reshape(kernel_shape),
-                       kernel_shape=kernel_shape,
-                       norm=float(np.linalg.norm(flat)))
+    return flat.reshape(kernel_shape)
 
 
 def noise_statistics(config: QireConfig, kernel_shape: "tuple[int, ...]",

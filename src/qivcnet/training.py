@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -145,13 +145,11 @@ def evaluate_segments(net: QivcNet, segments, labels: np.ndarray) -> MetricsRepo
     return compute_metrics(labels, preds, probs[:, 1])
 
 
-def _check_gradients(net: QivcNet, params: "list[Tensor]", where: str) -> None:
+def _check_gradients(net: QivcNet, where: str) -> None:
     """Raise NumericalError naming the first parameter with a non-finite gradient."""
-    for p in params:
+    for name, p in net.named_parameters().items():
         if p.grad is not None and not np.isfinite(p.grad).all():
-            names = {id(arr): name for name, arr in net.state_arrays().items()}
-            raise NumericalError(
-                f"{where}: non-finite gradient for {names.get(id(p.data), 'unnamed parameter')}")
+            raise NumericalError(f"{where}: non-finite gradient for {name}")
 
 
 def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.ndarray,
@@ -212,7 +210,7 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
                     f"fold {fold_index} epoch {epoch}: non-finite training loss")
             opt.zero_grad()
             ad.backward(objective)
-            _check_gradients(net, opt.params, f"fold {fold_index} epoch {epoch}")
+            _check_gradients(net, f"fold {fold_index} epoch {epoch}")
             opt.step()
             size = len(take)
             sums["loss"] += value * size

@@ -18,53 +18,14 @@ exactly when the posterior matches the prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LOG_EPS, Tensor
 from .errors import ConfigError
+from .layers import Layer
 from .qire import QireConfig, qire_sample
 from .rng import Rng
-
-
-@dataclass
-class VariationalKernel:
-    """Posterior parameters of one layer: kernel and bias mean/pre-scale."""
-
-    mu_w: Tensor
-    rho_w: Tensor
-    mu_b: Tensor
-    rho_b: Tensor
-    prior_var: float
-
-    def __post_init__(self) -> None:
-        if self.prior_var <= 0.0:
-            raise ConfigError(f"prior variance must be > 0, got {self.prior_var}")
-        if self.mu_w.shape != self.rho_w.shape or self.mu_b.shape != self.rho_b.shape:
-            raise ConfigError("mu/rho shape mismatch in variational kernel")
-
-    def parameters(self) -> "list[Tensor]":
-        return [self.mu_w, self.rho_w, self.mu_b, self.rho_b]
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    """Hyperparameters shared by the forward ops of one variational layer."""
-
-    qire: QireConfig = field(default_factory=QireConfig)
-    kl_scale: float = 1e-5
-    activation: str = "relu"
-    stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kl_scale < 0.0:
-            raise ConfigError(f"kl_scale must be >= 0, got {self.kl_scale}")
-        if self.activation not in ad.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
 
 
 def softplus_inverse(y: float) -> float:
@@ -74,48 +35,21 @@ def softplus_inverse(y: float) -> float:
     return math.log(math.expm1(y))
 
 
-def init_variational_kernel(width: int, c_in: int, c_out: int,
-                            prior_var: float, rng: Rng) -> VariationalKernel:
-    """Fan-based uniform init for means; sigma starts at half the prior scale."""
-    limit = math.sqrt(6.0 / (width * c_in + c_out))
-    rho0 = softplus_inverse(0.5 * math.sqrt(prior_var))
-    return VariationalKernel(
-        mu_w=Tensor(rng.uniform(-limit, limit, (width, c_in, c_out)), requires_grad=True),
-        rho_w=Tensor(np.full((width, c_in, c_out), rho0), requires_grad=True),
-        mu_b=Tensor(np.zeros(c_out), requires_grad=True),
-        rho_b=Tensor(np.full(c_out, rho0), requires_grad=True),
-        prior_var=prior_var,
-    )
-
-
-def sample_weights(vk: VariationalKernel, cfg: LayerConfig, rng: Rng) -> "tuple[Tensor, Tensor]":
+def sample_weights(layer: "QiVConv", rng: Rng) -> "tuple[Tensor, Tensor]":
     """Draw one noisy (kernel, bias) pair for a training forward pass.
 
     The kernel perturbation is a structured-noise draw; the bias gets plain
     Gaussian noise (the structured sampler targets the kernel only).  The
     kernel noise is consumed from ``rng`` first, then the bias noise.
     """
-    eps = qire_sample(vk.mu_w.shape, cfg.qire, rng).values
-    w_s = vk.mu_w + ad.softplus(vk.rho_w) * Tensor(eps)
-    eta = rng.normal(vk.mu_b.shape)
-    b_s = vk.mu_b + ad.softplus(vk.rho_b) * Tensor(eta)
+    eps = qire_sample(layer.mu_w.shape, layer.qire, rng)
+    w_s = layer.mu_w + ad.softplus(layer.rho_w) * Tensor(eps)
+    eta = rng.normal(layer.mu_b.shape)
+    b_s = layer.mu_b + ad.softplus(layer.rho_b) * Tensor(eta)
     return w_s, b_s
 
 
-def forward_train(x: Tensor, vk: VariationalKernel, cfg: LayerConfig, rng: Rng) -> Tensor:
-    """Stochastic forward: convolution with sampled weights, then activation."""
-    w_s, b_s = sample_weights(vk, cfg, rng)
-    out = ad.conv1d(x, w_s, b_s, stride=cfg.stride)
-    return ad.ACTIVATIONS[cfg.activation](out)
-
-
-def forward_infer(x: Tensor, vk: VariationalKernel, cfg: LayerConfig) -> Tensor:
-    """Deterministic forward using the posterior means; consumes no randomness."""
-    out = ad.conv1d(x, vk.mu_w, vk.mu_b, stride=cfg.stride)
-    return ad.ACTIVATIONS[cfg.activation](out)
-
-
-def kl_divergence(vk: VariationalKernel) -> Tensor:
+def kl_divergence(layer: "QiVConv") -> Tensor:
     """KL from the posterior N(mu, sigma^2) to the prior N(0, prior_var), summed.
 
     Per element: (sigma^2 + mu^2) / (2 prior_var) - log(sigma + eps)
@@ -123,12 +57,10 @@ def kl_divergence(vk: VariationalKernel) -> Tensor:
     inside both logarithms so the two terms cancel exactly at sigma =
     sigma_prior and the divergence is zero when posterior equals prior.
     """
-    if vk.prior_var <= 0.0:
-        raise ConfigError(f"prior variance must be > 0, got {vk.prior_var}")
-    log_sp = math.log(math.sqrt(vk.prior_var) + LOG_EPS)
-    half_inv_var = 0.5 / vk.prior_var
+    log_sp = math.log(math.sqrt(layer.prior_var) + LOG_EPS)
+    half_inv_var = 0.5 / layer.prior_var
     total = None
-    for mu, rho in ((vk.mu_w, vk.rho_w), (vk.mu_b, vk.rho_b)):
+    for mu, rho in ((layer.mu_w, layer.rho_w), (layer.mu_b, layer.rho_b)):
         sigma = ad.softplus(rho)
         quad = ad.tsum(sigma * sigma + mu * mu) * half_inv_var
         logs = ad.tsum(ad.log(sigma, eps=LOG_EPS))
@@ -146,23 +78,40 @@ def total_loss(task_loss: Tensor, kl_sum: Tensor, kl_scale: float) -> Tensor:
     return task_loss + kl_sum * kl_scale
 
 
-class QiVConv:
-    """Layer object bundling a variational kernel with its forward config."""
+class QiVConv(Layer):
+    """Variational 1-D convolution: a Gaussian posterior over kernel and bias.
 
-    def __init__(self, width: int, c_in: int, c_out: int, cfg: LayerConfig,
+    Means start from a fan-based uniform draw (the layer's only draw from
+    ``rng`` at construction), biases at zero, and every sigma at half the
+    prior scale.  A training forward convolves with weights from
+    ``sample_weights``; an inference forward uses the means and draws
+    nothing.
+    """
+
+    PARTS = ("mu_w", "rho_w", "mu_b", "rho_b")
+
+    def __init__(self, width: int, c_in: int, c_out: int, qire: QireConfig,
                  prior_var: float, rng: Rng):
-        self.cfg = cfg
-        self.vk = init_variational_kernel(width, c_in, c_out, prior_var, rng)
+        if prior_var <= 0.0:
+            raise ConfigError(f"prior variance must be > 0, got {prior_var}")
+        self.qire = qire
+        self.prior_var = prior_var
+        limit = math.sqrt(6.0 / (width * c_in + c_out))
+        rho0 = softplus_inverse(0.5 * math.sqrt(prior_var))
+        shape = (width, c_in, c_out)
+        self.mu_w = Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
+        self.rho_w = Tensor(np.full(shape, rho0), requires_grad=True)
+        self.mu_b = Tensor(np.zeros(c_out), requires_grad=True)
+        self.rho_b = Tensor(np.full(c_out, rho0), requires_grad=True)
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
-        if training:
-            if rng is None:
-                raise ConfigError("training-mode forward needs an rng")
-            return forward_train(x, self.vk, self.cfg, rng)
-        return forward_infer(x, self.vk, self.cfg)
+        if not training:
+            return ad.conv1d(x, self.mu_w, self.mu_b)
+        if rng is None:
+            raise ConfigError("training-mode forward needs an rng")
+        # through the module globals, so a wrapper bound in their place sees the call
+        w_s, b_s = sample_weights(self, rng)
+        return ad.conv1d(x, w_s, b_s)
 
     def kl(self) -> Tensor:
-        return kl_divergence(self.vk)
-
-    def parameters(self) -> "list[Tensor]":
-        return self.vk.parameters()
+        return kl_divergence(self)

@@ -28,9 +28,7 @@ from qivcnet.qire import QireConfig, qire_sample
 from qivcnet.rng import Rng
 from qivcnet.synthetic import make_dataset, write_wav_dataset
 from qivcnet.training import TrainHyper, evaluate_segments, train_fold
-from qivcnet.variational import (LayerConfig, VariationalKernel, forward_train,
-                                 init_variational_kernel, kl_divergence,
-                                 softplus_inverse, total_loss)
+from qivcnet.variational import QiVConv, kl_divergence, softplus_inverse, total_loss
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -49,13 +47,13 @@ def test_criterion_1_structured_noise_geometry():
         for n in (16, 360, 1024):
             for trial in range(1000):
                 seed = 1_000_000 * k + 1000 * n + trial
-                got = qire_sample((n,), cfg, Rng(seed)).values
+                got = qire_sample((n,), cfg, Rng(seed))
                 # replay the rng stream to recover the draw's eps, Q and U
                 replay = Rng(seed)
                 eps0 = replay.normal(n)
                 eps = eps0 / np.linalg.norm(eps0)
-                q = orthonormal_basis(n, k, replay).q
-                u = haar_so(k, replay).u
+                q = orthonormal_basis(n, k, replay)
+                u = haar_so(k, replay)
                 worst_norm = max(worst_norm, abs(np.linalg.norm(got) - 1.0))
                 comp_got = got - q @ (q.T @ got)
                 comp_want = eps - q @ (q.T @ eps)
@@ -79,11 +77,11 @@ def test_criterion_2_rotation_sampler_statistics():
         rng = Rng(200 + k)
         eye = np.eye(k)
         for _ in range(100_000):
-            u = haar_so(k, rng).u
+            u = haar_so(k, rng)
             worst_det = max(worst_det, abs(np.linalg.det(u) - 1.0))
             worst_orth = max(worst_orth, float(np.max(np.abs(u.T @ u - eye))))
     angle_rng = Rng(2024)
-    draws = [haar_so(2, angle_rng).u for _ in range(10_000)]
+    draws = [haar_so(2, angle_rng) for _ in range(10_000)]
     angles = np.array([math.atan2(u[1, 0], u[0, 0]) for u in draws])
     counts, _ = np.histogram(angles, bins=16, range=(-math.pi, math.pi))
     expected = len(angles) / 16.0
@@ -113,26 +111,25 @@ def test_criterion_3_gradients_match_finite_differences():
         width = int(shape_rng.integers(1, 6))
         c_in = int(shape_rng.integers(1, 4))
         c_out = int(shape_rng.integers(1, 4))
-        t_len = width + int(shape_rng.integers(1, 6))  # >= 2, so stride 2 never empties
+        t_len = width + int(shape_rng.integers(1, 6))
         batch = int(shape_rng.integers(1, 3))
         n = width * c_in * c_out
-        cfg = LayerConfig(qire=QireConfig(k=min(3, n), p=0.05),
-                          activation=acts[i % 3],
-                          stride=1 + i % 2)
-        vk = init_variational_kernel(width, c_in, c_out, 0.01, Rng(600 + i))
+        act = ad.ACTIVATIONS[acts[i % 3]]
+        layer = QiVConv(width, c_in, c_out, QireConfig(k=min(3, n), p=0.05), 0.01,
+                        Rng(600 + i))
         x = Rng(500 + i).normal((batch, t_len, c_in))
 
         for lam in (0.0, 1e-5):
             def loss_value():
-                out = forward_train(Tensor(x), vk, cfg, Rng(700 + i))
-                return total_loss(ad.tmean(out * out), kl_divergence(vk), lam)
+                out = act(layer.forward(Tensor(x), training=True, rng=Rng(700 + i)))
+                return total_loss(ad.tmean(out * out), kl_divergence(layer), lam)
 
-            for param in vk.parameters():
+            for param in layer.parameters():
                 param.grad = None  # backward accumulates across the lam runs
             loss = loss_value()
             ad.backward(loss)
             f = lambda: float(loss_value().data)
-            for param in vk.parameters():
+            for param in layer.parameters():
                 worst = max(worst, _grad_gap(param.grad, fd_grad(f, param.data)))
 
     net_cfg = NetworkConfig(blocks=((2, 3), (3, 3)), classifier_width=3,
@@ -171,23 +168,19 @@ def test_criterion_3_gradients_match_finite_differences():
 def test_criterion_4_kl_closed_form_values():
     shape = (3, 2, 4)
     rho_prior = softplus_inverse(0.1)
-    at_prior = VariationalKernel(
-        mu_w=Tensor(np.zeros(shape), requires_grad=True),
-        rho_w=Tensor(np.full(shape, rho_prior), requires_grad=True),
-        mu_b=Tensor(np.zeros(shape[-1]), requires_grad=True),
-        rho_b=Tensor(np.full(shape[-1], rho_prior), requires_grad=True),
-        prior_var=0.01,
-    )
+
+    def layer_at(mu: float, shape) -> QiVConv:
+        # weight means at mu, bias means at 0, every sigma at the prior's 0.1
+        layer = QiVConv(*shape, QireConfig(k=1), 0.01, Rng(0))
+        layer.mu_w.data = np.full(shape, mu)
+        layer.rho_w.data = np.full(shape, rho_prior)
+        layer.mu_b.data = np.zeros(shape[-1])
+        layer.rho_b.data = np.full(shape[-1], rho_prior)
+        return layer
+
     n_elem = np.prod(shape) + shape[-1]
-    per_elem = float(kl_divergence(at_prior).data) / n_elem
-    single = VariationalKernel(
-        mu_w=Tensor(np.full((1, 1, 1), 0.1), requires_grad=True),
-        rho_w=Tensor(np.full((1, 1, 1), rho_prior), requires_grad=True),
-        mu_b=Tensor(np.zeros(1), requires_grad=True),
-        rho_b=Tensor(np.full(1, rho_prior), requires_grad=True),
-        prior_var=0.01,
-    )
-    half = float(kl_divergence(single).data)
+    per_elem = float(kl_divergence(layer_at(0.0, shape)).data) / n_elem
+    half = float(kl_divergence(layer_at(0.1, (1, 1, 1))).data)
     ok = abs(per_elem) < 2e-7 and abs(half - 0.5) < 1e-9
     _verdict("criterion 4 (KL closed forms)", ok,
              f"at-prior per element {per_elem:.2e}, "

@@ -1,6 +1,8 @@
 """Block and network behavior: probability outputs, reversal alignment,
 determinism, checkpoint fidelity, end-to-end gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,7 @@ def test_segments_to_batch_shape():
 def test_backward_path_mirrors_forward_path_when_tied():
     cfg = NetworkConfig(blocks=((4, 7),), classifier_width=4, seed=2)
     blk = QivcNet(cfg).blocks[0]
-    for src, dst in zip(blk.fwd_conv.vk.parameters(), blk.bwd_conv.vk.parameters()):
+    for src, dst in zip(blk.fwd_conv.parameters(), blk.bwd_conv.parameters()):
         dst.data = src.data.copy()
     x = Tensor(Rng(5).normal((2, 16, 1)))
     rx = Tensor(np.ascontiguousarray(x.data[:, ::-1, :]))
@@ -158,7 +160,7 @@ def test_backward_path_mirrors_forward_path_when_tied():
 def test_paths_agree_on_constant_signal_with_tied_width_one_kernels():
     cfg = NetworkConfig(blocks=((3, 1),), classifier_width=4, seed=4)
     blk = QivcNet(cfg).blocks[0]
-    for src, dst in zip(blk.fwd_conv.vk.parameters(), blk.bwd_conv.vk.parameters()):
+    for src, dst in zip(blk.fwd_conv.parameters(), blk.bwd_conv.parameters()):
         dst.data = src.data.copy()
     x = Tensor(np.full((2, 10, 1), 0.37))
     _, f, b = blk.path_features(x, training=False, rng=None)
@@ -180,8 +182,8 @@ def test_train_equals_infer_when_noise_vanishes():
     net = QivcNet(cfg)
     for blk in net.blocks:
         for conv in (blk.fwd_conv, blk.bwd_conv):
-            conv.vk.rho_w.data[:] = -40.0
-            conv.vk.rho_b.data[:] = -40.0
+            conv.rho_w.data[:] = -40.0
+            conv.rho_b.data[:] = -40.0
     x = Tensor(Rng(2).normal((6, 24, 1)))
     train_out = net.forward(x, training=True, rng=Rng(3)).data
     infer_out = net.forward(x, training=False).data
@@ -213,11 +215,42 @@ def test_load_state_rejects_missing_arrays():
         big.load_state(small.state_arrays())
 
 
+def test_load_state_rejects_unexpected_arrays():
+    small = QivcNet(NetworkConfig(blocks=((2, 3),), classifier_width=3, seed=0))
+    big = QivcNet(MICRO)
+    # 76 arrays offered, 40 used
+    with pytest.raises(ConfigError, match=r"has 36 arrays .* \['block1\."):
+        small.load_state(big.state_arrays())
+
+
 def test_load_state_rejects_shape_mismatch():
     wide = QivcNet(NetworkConfig(blocks=((3, 3), (4, 3)), classifier_width=3, seed=0))
     net = QivcNet(MICRO)
     with pytest.raises(ConfigError):
         net.load_state(wide.state_arrays())
+
+
+def test_untrained_default_checkpoint_bytes_are_pinned(tmp_path):
+    # The checkpoint names, their order, shapes and values, and the rng draw
+    # order at init, all show up in these bytes.
+    cfg = NetworkConfig(seed=0)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, QivcNet(cfg).state_arrays(),
+                    {"network": config_to_dict(cfg), "fold": 0})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "4bbb036ea05a7f47328df8333f0bd440e3505303d05c3efcaa3e9e3e096cae46"
+
+
+def test_named_parameters_follow_checkpoint_names():
+    net = QivcNet(MICRO)
+    named = net.named_parameters()
+    arrays = net.state_arrays()
+    assert list(named.values()) == net.parameters()
+    assert [k for k in arrays if k in named] == list(named)
+    assert all(arrays[k] is p.data for k, p in named.items())
+    # only the batch-norm running statistics are state without a gradient
+    assert {k.rsplit(".", 1)[1] for k in set(arrays) - set(named)} == {
+        "running_mean", "running_var"}
 
 
 # ------------------------------------------------------------------ latent

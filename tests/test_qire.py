@@ -13,8 +13,7 @@ from qivcnet.rng import Rng
 
 def _flat_sample(n, k, p, seed, rescale=False):
     cfg = QireConfig(k=k, p=p, rescale_sqrt_n=rescale)
-    out = qire_sample((n,), cfg, Rng(seed))
-    return out.values
+    return qire_sample((n,), cfg, Rng(seed))
 
 
 def test_unit_norm_without_decoherence():
@@ -32,10 +31,9 @@ def test_orthogonal_complement_untouched():
     rng = Rng(77)
     eps = rng.normal(n)
     eps /= np.linalg.norm(eps)
-    basis = orthonormal_basis(n, k, rng)
-    q = basis.q
+    q = orthonormal_basis(n, k, rng)
     comp = eps - q @ (q.T @ eps)
-    comp_out = out.values - q @ (q.T @ out.values)
+    comp_out = out - q @ (q.T @ out)
     assert np.max(np.abs(comp_out - comp)) < 1e-12
 
 
@@ -45,10 +43,10 @@ def test_closed_form_identity():
     rng = Rng(5)
     eps = rng.normal(n)
     eps /= np.linalg.norm(eps)
-    q = orthonormal_basis(n, k, rng).q
-    u = haar_so(k, rng).u
+    q = orthonormal_basis(n, k, rng)
+    u = haar_so(k, rng)
     want = eps + q @ ((u - np.eye(k)) @ (q.T @ eps))
-    assert np.max(np.abs(out.values - want)) < 1e-12
+    assert np.max(np.abs(out - want)) < 1e-12
 
 
 def test_k1_rotation_is_identity():
@@ -58,7 +56,7 @@ def test_k1_rotation_is_identity():
     rng = Rng(9)
     eps = rng.normal(n)
     eps /= np.linalg.norm(eps)
-    assert np.max(np.abs(out.values - eps)) < 1e-13
+    assert np.max(np.abs(out - eps)) < 1e-13
 
 
 def test_full_decoherence_collapses_to_constant():
@@ -77,15 +75,14 @@ def test_rescale_multiplies_by_sqrt_n():
 def test_sample_reshapes_to_kernel_shape():
     cfg = QireConfig(k=3, p=0.0)
     out = qire_sample((7, 4, 2), cfg, Rng(2))
-    assert out.values.shape == (7, 4, 2)
-    assert out.kernel_shape == (7, 4, 2)
-    assert abs(np.linalg.norm(out.values.ravel()) - 1.0) < 1e-10
+    assert out.shape == (7, 4, 2)
+    assert abs(np.linalg.norm(out.ravel()) - 1.0) < 1e-10
 
 
 def test_sample_reproducible():
     cfg = QireConfig(k=4, p=0.3)
-    a = qire_sample((5, 5), cfg, Rng(21)).values
-    b = qire_sample((5, 5), cfg, Rng(21)).values
+    a = qire_sample((5, 5), cfg, Rng(21))
+    b = qire_sample((5, 5), cfg, Rng(21))
     assert np.array_equal(a, b)
 
 
@@ -156,5 +153,5 @@ def test_decoherence_blends_toward_constant_property(n, k, p, seed):
     # noise) or the depolarized constant
     const = 1.0 / np.sqrt(n)
     pre = _flat_sample(n, k, 0.0, seed=seed)
-    matches = np.isclose(out.values, pre, atol=1e-12) | np.isclose(out.values, const, atol=1e-12)
+    matches = np.isclose(out, pre, atol=1e-12) | np.isclose(out, const, atol=1e-12)
     assert matches.all()

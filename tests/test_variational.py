@@ -12,12 +12,7 @@ from qivcnet.errors import ConfigError
 from qivcnet.qire import QireConfig
 from qivcnet.rng import Rng
 from qivcnet.variational import (
-    LayerConfig,
     QiVConv,
-    VariationalKernel,
-    forward_infer,
-    forward_train,
-    init_variational_kernel,
     kl_divergence,
     sample_weights,
     softplus_inverse,
@@ -25,17 +20,20 @@ from qivcnet.variational import (
 )
 
 
-def _const_kernel(mu, sigma, prior_var, shape=(1, 1, 1)):
-    """Kernel with every weight at (mu, sigma) and bias pinned to the prior."""
+def _layer_with(arrays, prior_var, qire=QireConfig()):
+    """Layer whose (mu_w, rho_w, mu_b, rho_b) are the given arrays."""
+    layer = QiVConv(*arrays[0].shape, qire, prior_var, Rng(0))
+    for param, arr in zip(layer.parameters(), arrays):
+        param.data = arr
+    return layer
+
+
+def _const_kernel(mu, sigma, prior_var, shape=(1, 1, 1), qire=QireConfig()):
+    """Layer with every weight at (mu, sigma) and bias pinned to the prior."""
     rho = softplus_inverse(sigma)
     rho_b = softplus_inverse(math.sqrt(prior_var))
-    return VariationalKernel(
-        mu_w=Tensor(np.full(shape, mu), requires_grad=True),
-        rho_w=Tensor(np.full(shape, rho), requires_grad=True),
-        mu_b=Tensor(np.zeros(shape[-1]), requires_grad=True),
-        rho_b=Tensor(np.full(shape[-1], rho_b), requires_grad=True),
-        prior_var=prior_var,
-    )
+    return _layer_with([np.full(shape, mu), np.full(shape, rho),
+                        np.zeros(shape[-1]), np.full(shape[-1], rho_b)], prior_var, qire)
 
 
 # ---------------------------------------------------------------- softplus
@@ -57,7 +55,7 @@ def test_softplus_inverse_rejects_nonpositive():
 
 def test_init_shapes_and_sigma_start():
     prior_var = 0.04
-    vk = init_variational_kernel(7, 3, 8, prior_var, Rng(0))
+    vk = QiVConv(7, 3, 8, QireConfig(), prior_var, Rng(0))
     assert vk.mu_w.shape == (7, 3, 8)
     assert vk.rho_w.shape == (7, 3, 8)
     assert vk.mu_b.shape == (8,)
@@ -71,18 +69,17 @@ def test_init_shapes_and_sigma_start():
 
 
 def test_init_deterministic():
-    a = init_variational_kernel(3, 2, 4, 0.01, Rng(42))
-    b = init_variational_kernel(3, 2, 4, 0.01, Rng(42))
+    a = QiVConv(3, 2, 4, QireConfig(), 0.01, Rng(42))
+    b = QiVConv(3, 2, 4, QireConfig(), 0.01, Rng(42))
     assert np.array_equal(a.mu_w.data, b.mu_w.data)
 
 
 def test_kernel_validates():
     with pytest.raises(ConfigError):
         _const_kernel(0.0, 0.1, prior_var=0.0)
-    with pytest.raises(ConfigError):
-        VariationalKernel(
-            mu_w=Tensor(np.zeros((2, 1, 1))), rho_w=Tensor(np.zeros((3, 1, 1))),
-            mu_b=Tensor(np.zeros(1)), rho_b=Tensor(np.zeros(1)), prior_var=1.0)
+    for prior_var in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            QiVConv(2, 1, 1, QireConfig(), prior_var, Rng(0))
 
 
 # --------------------------------------------------------------- sampling
@@ -91,43 +88,43 @@ def test_sampled_kernel_noise_has_unit_norm():
     # with constant sigma, (W_s - mu) / sigma recovers the raw structured
     # draw, which has unit total norm when rescaling is off
     sigma = 0.3
-    vk = _const_kernel(0.7, sigma, prior_var=0.04, shape=(5, 2, 3))
-    cfg = LayerConfig(qire=QireConfig(k=4, p=0.0, rescale_sqrt_n=False))
-    w_s, _ = sample_weights(vk, cfg, Rng(11))
+    vk = _const_kernel(0.7, sigma, prior_var=0.04, shape=(5, 2, 3),
+                       qire=QireConfig(k=4, p=0.0, rescale_sqrt_n=False))
+    w_s, _ = sample_weights(vk, Rng(11))
     eps = (w_s.data - vk.mu_w.data) / sigma
     assert np.linalg.norm(eps) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_tiny_sigma_collapses_to_mean():
-    vk = _const_kernel(0.25, 0.1, prior_var=0.01, shape=(3, 1, 2))
+    vk = _const_kernel(0.25, 0.1, prior_var=0.01, shape=(3, 1, 2),
+                       qire=QireConfig(k=2, p=0.0))
     vk.rho_w.data[:] = -40.0
     vk.rho_b.data[:] = -40.0
-    cfg = LayerConfig(qire=QireConfig(k=2, p=0.0))
-    w_s, b_s = sample_weights(vk, cfg, Rng(3))
+    w_s, b_s = sample_weights(vk, Rng(3))
     assert np.max(np.abs(w_s.data - vk.mu_w.data)) < 1e-15
     assert np.max(np.abs(b_s.data - vk.mu_b.data)) < 1e-15
 
 
 def test_sampling_deterministic_given_seed():
-    vk = _const_kernel(0.0, 0.2, prior_var=0.04, shape=(3, 2, 2))
-    cfg = LayerConfig(qire=QireConfig(k=3, p=0.1))
-    w1, b1 = sample_weights(vk, cfg, Rng(9))
-    w2, b2 = sample_weights(vk, cfg, Rng(9))
+    vk = _const_kernel(0.0, 0.2, prior_var=0.04, shape=(3, 2, 2),
+                       qire=QireConfig(k=3, p=0.1))
+    w1, b1 = sample_weights(vk, Rng(9))
+    w2, b2 = sample_weights(vk, Rng(9))
     assert np.array_equal(w1.data, w2.data)
     assert np.array_equal(b1.data, b2.data)
-    w3, _ = sample_weights(vk, cfg, Rng(10))
+    w3, _ = sample_weights(vk, Rng(10))
     assert not np.array_equal(w1.data, w3.data)
 
 
 def test_bias_noise_drawn_after_kernel_noise():
-    vk = _const_kernel(0.0, 0.2, prior_var=0.04, shape=(3, 1, 2))
-    cfg = LayerConfig(qire=QireConfig(k=2, p=0.0))
+    vk = _const_kernel(0.0, 0.2, prior_var=0.04, shape=(3, 1, 2),
+                       qire=QireConfig(k=2, p=0.0))
     rng = Rng(21)
-    _, b_s = sample_weights(vk, cfg, rng)
+    _, b_s = sample_weights(vk, rng)
     # replay: consume the kernel draw by hand, then the bias draw must match
     replay = Rng(21)
     from qivcnet.qire import qire_sample
-    qire_sample((3, 1, 2), cfg.qire, replay)
+    qire_sample((3, 1, 2), vk.qire, replay)
     eta = replay.normal((2,))
     sigma_b = np.logaddexp(0.0, vk.rho_b.data)
     assert np.allclose(b_s.data, sigma_b * eta, rtol=0, atol=1e-15)
@@ -137,10 +134,9 @@ def test_bias_noise_drawn_after_kernel_noise():
 
 def test_infer_uses_means_and_is_deterministic():
     x = Tensor(Rng(1).normal((2, 16, 3)))
-    vk = init_variational_kernel(5, 3, 4, 0.04, Rng(2))
-    cfg = LayerConfig(activation="identity")
-    o1 = forward_infer(x, vk, cfg).data
-    o2 = forward_infer(x, vk, cfg).data
+    vk = QiVConv(5, 3, 4, QireConfig(), 0.04, Rng(2))
+    o1 = vk.forward(x, training=False).data
+    o2 = vk.forward(x, training=False).data
     assert np.array_equal(o1, o2)
     want = ad.conv1d(x, vk.mu_w, vk.mu_b).data
     assert np.array_equal(o1, want)
@@ -148,33 +144,23 @@ def test_infer_uses_means_and_is_deterministic():
 
 def test_train_forward_differs_from_infer():
     x = Tensor(Rng(1).normal((2, 16, 3)))
-    vk = init_variational_kernel(5, 3, 4, 0.04, Rng(2))
-    cfg = LayerConfig(activation="identity", qire=QireConfig(k=4, p=0.05))
-    noisy = forward_train(x, vk, cfg, Rng(7)).data
-    clean = forward_infer(x, vk, cfg).data
+    vk = QiVConv(5, 3, 4, QireConfig(k=4, p=0.05), 0.04, Rng(2))
+    noisy = vk.forward(x, training=True, rng=Rng(7)).data
+    clean = vk.forward(x, training=False).data
     assert not np.allclose(noisy, clean)
 
 
 def test_layer_object_requires_rng_for_training():
-    layer = QiVConv(3, 1, 2, LayerConfig(), prior_var=0.04, rng=Rng(0))
+    layer = QiVConv(3, 1, 2, QireConfig(), prior_var=0.04, rng=Rng(0))
     with pytest.raises(ConfigError):
         layer.forward(Tensor(np.zeros((1, 8, 1))), training=True)
 
 
 def test_parameter_count_doubles_point_estimate():
-    layer = QiVConv(7, 3, 8, LayerConfig(), prior_var=0.04, rng=Rng(0))
+    layer = QiVConv(7, 3, 8, QireConfig(), prior_var=0.04, rng=Rng(0))
     n_params = sum(p.data.size for p in layer.parameters())
     point = 7 * 3 * 8 + 8
     assert n_params == 2 * point
-
-
-def test_layer_config_validates():
-    with pytest.raises(ConfigError):
-        LayerConfig(kl_scale=-1e-6)
-    with pytest.raises(ConfigError):
-        LayerConfig(activation="gelu")
-    with pytest.raises(ConfigError):
-        LayerConfig(stride=0)
 
 
 # --------------------------------------------------------------------- KL
@@ -198,13 +184,8 @@ def test_kl_single_weight_closed_form():
 def test_kl_matches_direct_formula():
     rng = Rng(5)
     prior_var = 0.04
-    vk = VariationalKernel(
-        mu_w=Tensor(rng.normal((3, 2, 4)) * 0.3, requires_grad=True),
-        rho_w=Tensor(rng.normal((3, 2, 4)) - 2.0, requires_grad=True),
-        mu_b=Tensor(rng.normal((4,)) * 0.3, requires_grad=True),
-        rho_b=Tensor(rng.normal((4,)) - 2.0, requires_grad=True),
-        prior_var=prior_var,
-    )
+    vk = _layer_with([rng.normal((3, 2, 4)) * 0.3, rng.normal((3, 2, 4)) - 2.0,
+                      rng.normal((4,)) * 0.3, rng.normal((4,)) - 2.0], prior_var)
 
     def direct(mu, rho):
         sigma = np.logaddexp(0.0, rho)
@@ -230,12 +211,7 @@ def test_kl_grad_matches_finite_differences():
               rng.normal((3,)) * 0.3, rng.normal((3,)) - 2.0]
 
     def loss_of(parts):
-        vk = VariationalKernel(
-            mu_w=Tensor(parts[0], requires_grad=True),
-            rho_w=Tensor(parts[1], requires_grad=True),
-            mu_b=Tensor(parts[2], requires_grad=True),
-            rho_b=Tensor(parts[3], requires_grad=True),
-            prior_var=0.04)
+        vk = _layer_with(parts, prior_var=0.04)
         return vk, kl_divergence(vk)
 
     vk, loss = loss_of([a.copy() for a in arrays])
@@ -266,18 +242,13 @@ def test_layer_gradients_with_frozen_noise(kl_scale):
     # rebuilding the graph with a fresh Rng(13) freezes the noise draw, so
     # central differences see the same sampled weights at every probe point
     x = Rng(4).normal((2, 12, 2))
-    base = init_variational_kernel(3, 2, 3, 0.04, Rng(6))
+    qire = QireConfig(k=3, p=0.1)
+    base = QiVConv(3, 2, 3, qire, 0.04, Rng(6))
     arrays = [p.data.copy() for p in base.parameters()]
-    cfg = LayerConfig(qire=QireConfig(k=3, p=0.1), kl_scale=kl_scale, activation="tanh")
 
     def loss_of(parts):
-        vk = VariationalKernel(
-            mu_w=Tensor(parts[0], requires_grad=True),
-            rho_w=Tensor(parts[1], requires_grad=True),
-            mu_b=Tensor(parts[2], requires_grad=True),
-            rho_b=Tensor(parts[3], requires_grad=True),
-            prior_var=0.04)
-        out = forward_train(Tensor(x), vk, cfg, Rng(13))
+        vk = _layer_with(parts, prior_var=0.04, qire=qire)
+        out = ad.tanh(vk.forward(Tensor(x), training=True, rng=Rng(13)))
         task = ad.tmean(out * out)
         return vk, total_loss(task, kl_divergence(vk), kl_scale)
 
