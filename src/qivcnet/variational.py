@@ -18,6 +18,7 @@ exactly when the posterior matches the prior.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from . import autodiff as ad
@@ -109,7 +110,8 @@ class QiVConv(Layer):
             return ad.conv1d(x, self.mu_w, self.mu_b)
         if rng is None:
             raise ConfigError("training-mode forward needs an rng")
-        # through the module globals, so a wrapper bound in their place sees the call
+        # sample_weights and kl_divergence are looked up at call time, so a
+        # profiler can rebind them in this module
         w_s, b_s = sample_weights(self, rng)
         return ad.conv1d(x, w_s, b_s)
 
