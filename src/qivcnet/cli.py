@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import dataio, network, preprocess, qire, training
-from .config import RunConfig, _convert, config_text, resolve_config
+from .config import FIELD_KINDS, RunConfig, _convert, config_text, resolve_config
 from .errors import (ConfigError, DataError, GraphError, NumericalError,
                      QivcError, ShapeError)
 from .folds import segment_labels, stratified_kfold
@@ -87,6 +86,8 @@ def _load_cache(cfg: RunConfig):
 
 
 def _load_net(cfg: RunConfig, segments):
+    """The checkpointed net and its metadata, whose split indices come back
+    as int64 arrays checked against the cache."""
     if not cfg.checkpoint:
         raise ConfigError("this command needs --checkpoint")
     arrays, meta = ckpt_io.load_checkpoint(cfg.checkpoint)
@@ -94,6 +95,13 @@ def _load_net(cfg: RunConfig, segments):
         raise DataError(
             f"checkpoint was trained on {meta.get('n_segments')} segments but the "
             f"cache holds {len(segments)}")
+    missing = [key for key in ("network", "val_indices", "test_indices") if key not in meta]
+    if missing:
+        raise DataError(f"checkpoint metadata lacks {', '.join(missing)}")
+    for key in ("val_indices", "test_indices"):
+        idx = meta[key] = np.array(meta[key], dtype=np.int64)
+        if idx.size and not (idx.min() >= 0 and idx.max() < len(segments)):
+            raise DataError(f"checkpoint {key} fall outside the {len(segments)}-segment cache")
     net = network.QivcNet(network.config_from_dict(meta["network"]))
     net.load_state(arrays)
     return net, meta
@@ -124,14 +132,11 @@ def cmd_train(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     segments, _ = _load_cache(cfg)
     split = stratified_kfold(segments, k=cfg.folds, seed=cfg.seed,
                              group_by_recording=cfg.group_by_recording)
-    fold_index = None if cfg.fold_index < 0 else cfg.fold_index
-    wanted = range(split.k) if fold_index is None else [fold_index]
-    for i in wanted:
+    for i in training.fold_indices(split, cfg.fold_index):
         fold_dir = reg.dir(outdir / f"fold{i}")
         reg.file(fold_dir / "checkpoint.bin")
         reg.file(fold_dir / "train_log.csv")
-    results = training.train(segments, split, cfg.network_config(), cfg.train_hyper(),
-                             cfg.seed, outdir, fold_index=fold_index, jobs=cfg.jobs)
+    results = training.train(segments, split, cfg, outdir)
     dataio.write_csv(reg.file(outdir / "metrics.csv"), training.METRICS_CSV_HEADER,
                      training.metrics_rows(results))
     for r in results:
@@ -144,7 +149,7 @@ def cmd_eval(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     net, meta = _load_net(cfg, segments)
     rows = []
     for split_name in ("val", "test"):
-        idx = np.array(meta[f"{split_name}_indices"], dtype=np.int64)
+        idx = meta[f"{split_name}_indices"]
         report = training.evaluate_segments(net, [segments[i] for i in idx], labels[idx])
         rows.append((split_name,) + report.csv_row())
         print(f"{split_name}: acc={report.accuracy!r} f1={report.f1!r} auc={report.auc!r}")
@@ -155,7 +160,7 @@ def cmd_eval(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
 def cmd_robustness(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     segments, labels = _load_cache(cfg)
     net, meta = _load_net(cfg, segments)
-    test_idx = np.array(meta["test_indices"], dtype=np.int64)
+    test_idx = meta["test_indices"]
     master = Rng(cfg.seed)
     rows = []
     for snr in cfg.snr_values():
@@ -171,7 +176,7 @@ def cmd_robustness(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
 def cmd_calibrate(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     segments, labels = _load_cache(cfg)
     net, meta = _load_net(cfg, segments)
-    test_idx = np.array(meta["test_indices"], dtype=np.int64)
+    test_idx = meta["test_indices"]
     probs = network.infer_probs(net, [segments[i] for i in test_idx])
     preds = probs.argmax(axis=1)
     bins = reliability_bins(labels[test_idx], preds, probs[:, 1])
@@ -223,12 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        for f in fields(RunConfig):
-            flag = "--" + f.name.replace("_", "-")
-            kind = {"str": str, "int": int, "float": float, "bool": bool}[str(f.type)]
+        for name, kind in FIELD_KINDS.items():
+            flag = "--" + name.replace("_", "-")
             if kind is bool:
                 p.add_argument(flag, default=None, metavar="BOOL",
-                               type=lambda raw, n=f.name: _convert(n, bool, raw))
+                               type=lambda raw, n=name: _convert(n, bool, raw))
             else:
                 p.add_argument(flag, default=None, type=kind)
     return parser
@@ -244,7 +248,7 @@ def _fail(code: int, kind: str, exc: Exception, reg: "ArtifactRegistry | None") 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    overrides = {name: getattr(args, name) for name in FIELD_KINDS}
     reg = ArtifactRegistry()
     try:
         cfg = resolve_config(args.config, overrides)

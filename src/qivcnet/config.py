@@ -3,19 +3,21 @@
 A config file is plain ``key = value`` text: one pair per line, ``#``
 starts a comment, keys use underscores and match RunConfig field names.
 CLI flags (same names, dashes) override file values, which override the
-defaults.  The fully resolved configuration is echoed into the output
-directory of every command so a run can be reproduced from its artifacts.
+defaults.  RunConfig is the one declaration of every setting: the nested
+network and sampler configs are derived from its same-named fields, and a
+RunConfig with any setting out of range cannot be constructed.  The fully
+resolved configuration is echoed into the output directory of every command
+so a run can be reproduced from its artifacts.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .network import NetworkConfig
 from .qire import QireConfig
-from .training import TrainHyper
 
 
 @dataclass
@@ -58,25 +60,40 @@ class RunConfig:
     trials: int = 10000
     kernel_shape: str = "7x16x32"
 
+    def __post_init__(self) -> None:
+        """Range-check every setting, including the derived configs."""
+        self.network_config()
+        self.snr_values()
+        self.kernel_shape_tuple()
+        if self.lr <= 0.0:
+            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
+        if self.batch < 2:
+            raise ConfigError(f"batch size must be >= 2, got {self.batch}")
+        if self.epochs < 1 or self.epochs > 500:
+            raise ConfigError(f"epochs must be in [1, 500], got {self.epochs}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val fraction must be in (0, 1), got {self.val_fraction}")
+        if not 0.0 < self.ema_decay < 1.0:
+            raise ConfigError(f"EMA decay must be in (0, 1), got {self.ema_decay}")
+        if self.folds < 2:
+            raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if not -1 <= self.fold_index < self.folds:
+            raise ConfigError(f"fold_index must be in [-1, folds), got {self.fold_index}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+
     def qire_config(self) -> QireConfig:
-        return QireConfig(k=self.k, p=self.p, rescale_sqrt_n=self.rescale_sqrt_n)
+        return _derive(QireConfig, self)
 
     def network_config(self) -> NetworkConfig:
-        return NetworkConfig(blocks=parse_blocks(self.blocks),
-                             pool_between=self.pool_between,
-                             classifier_width=self.classifier_width,
-                             kl_scale=self.kl_scale,
-                             qire=self.qire_config(),
-                             prior_var=self.prior_var,
-                             activation=self.activation,
-                             bn_momentum=self.bn_momentum,
-                             seed=self.seed)
-
-    def train_hyper(self) -> TrainHyper:
-        return TrainHyper(lr=self.lr, batch=self.batch, epochs=self.epochs,
-                          patience=self.patience, val_fraction=self.val_fraction,
-                          dynamic_weights=self.dynamic_weights,
-                          ema_decay=self.ema_decay)
+        return _derive(NetworkConfig, self, blocks=parse_blocks(self.blocks),
+                       qire=self.qire_config())
 
     def snr_values(self) -> "list[float]":
         try:
@@ -96,23 +113,16 @@ class RunConfig:
             raise ConfigError(f"bad kernel_shape {self.kernel_shape!r}")
         return shape
 
-    def validate(self) -> None:
-        """Construct every derived config so all range checks fire upfront."""
-        self.qire_config()
-        self.network_config()
-        self.train_hyper()
-        self.snr_values()
-        self.kernel_shape_tuple()
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.fold_index < -1:
-            raise ConfigError(f"fold_index must be >= -1, got {self.fold_index}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+
+FIELD_KINDS: "dict[str, type]" = {  # each RunConfig field's type, for files and flags
+    f.name: {"str": str, "int": int, "float": float, "bool": bool}[str(f.type)]
+    for f in fields(RunConfig)}
+
+
+def _derive(cls, cfg: RunConfig, **explicit):
+    """Build dataclass ``cls`` from the same-named fields of ``cfg``."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in explicit}
+    return cls(**shared, **explicit)
 
 
 def parse_blocks(text: str) -> "tuple[tuple[int, int], ...]":
@@ -155,8 +165,6 @@ def load_config_file(path: "str | Path") -> "dict[str, object]":
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"missing config file: {path}")
-    types = {f.name: f.type for f in fields(RunConfig)}
-    kinds = {"str": str, "int": int, "float": float, "bool": bool}
     overrides: "dict[str, object]" = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -165,34 +173,25 @@ def load_config_file(path: "str | Path") -> "dict[str, object]":
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in types:
+        if key not in FIELD_KINDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        overrides[key] = _convert(key, kinds[str(types[key])], raw)
+        overrides[key] = _convert(key, FIELD_KINDS[key], raw)
     return overrides
 
 
 def resolve_config(file_path: "str | None",
                    flag_overrides: "dict[str, object]") -> RunConfig:
-    """defaults <- config file <- CLI flags, then validate."""
-    values = asdict(RunConfig())
-    if file_path:
-        values.update(load_config_file(file_path))
+    """defaults <- config file <- CLI flags; construction validates."""
+    values = load_config_file(file_path) if file_path else {}
     values.update({k: v for k, v in flag_overrides.items() if v is not None})
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
 def config_text(cfg: RunConfig) -> str:
     """Render the resolved config in the same key=value file format."""
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+    for name in FIELD_KINDS:
+        value = getattr(cfg, name)
+        text = ("true" if value else "false") if isinstance(value, bool) else str(value)
+        lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ vector with a small dense head ending in a two-way softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,40 +59,30 @@ class NetworkConfig:
             raise ConfigError(f"kl_scale must be >= 0, got {self.kl_scale}")
         if self.activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if not 0.0 < self.bn_momentum <= 1.0:
+            raise ConfigError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
     """JSON-friendly architecture echo (stored in checkpoints)."""
-    return {
-        "blocks": [list(b) for b in cfg.blocks],
-        "pool_between": cfg.pool_between,
-        "classifier_width": cfg.classifier_width,
-        "kl_scale": cfg.kl_scale,
-        "qire": {"k": cfg.qire.k, "p": cfg.qire.p,
-                 "rescale_sqrt_n": cfg.qire.rescale_sqrt_n},
-        "prior_var": cfg.prior_var,
-        "activation": cfg.activation,
-        "bn_momentum": cfg.bn_momentum,
-        "seed": cfg.seed,
-    }
+    return asdict(cfg)
+
+
+def _check_keys(cls, d: dict, where: str) -> None:
+    names = [f.name for f in fields(cls)]
+    missing = [n for n in names if n not in d]
+    unexpected = sorted(set(d) - set(names))
+    if missing or unexpected:
+        raise ConfigError(f"{where} dictionary has missing keys {missing} "
+                          f"and unexpected keys {unexpected}")
 
 
 def config_from_dict(d: dict) -> NetworkConfig:
-    try:
-        return NetworkConfig(
-            blocks=tuple(tuple(b) for b in d["blocks"]),
-            pool_between=bool(d["pool_between"]),
-            classifier_width=int(d["classifier_width"]),
-            kl_scale=float(d["kl_scale"]),
-            qire=QireConfig(k=int(d["qire"]["k"]), p=float(d["qire"]["p"]),
-                            rescale_sqrt_n=bool(d["qire"]["rescale_sqrt_n"])),
-            prior_var=float(d["prior_var"]),
-            activation=str(d["activation"]),
-            bn_momentum=float(d["bn_momentum"]),
-            seed=int(d["seed"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"architecture dictionary missing key {exc}") from exc
+    """Inverse of config_to_dict; every key must be present and known."""
+    _check_keys(NetworkConfig, d, "architecture")
+    _check_keys(QireConfig, d["qire"], "sampler")
+    return NetworkConfig(**{**d, "blocks": tuple(tuple(b) for b in d["blocks"]),
+                            "qire": QireConfig(**d["qire"])})
 
 
 class RfrBlock(Layer):

@@ -26,45 +26,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import RunConfig
 from .dataio import write_csv
 from .errors import ConfigError, DataError, NumericalError
 from .folds import FoldSplit, segment_labels
 from .losses import LossWeights, composite_loss, one_hot
 from .metrics import MetricsReport, compute_metrics
-from .network import NetworkConfig, QivcNet, config_to_dict, infer_probs, segments_to_batch
+from .network import QivcNet, config_to_dict, infer_probs, segments_to_batch
 from .rng import Rng
 from .variational import total_loss
 
 TRAIN_LOG_HEADER = ("epoch", "train_loss", "cce", "dice", "w_cce", "w_dice",
                     "kl", "val_f1", "val_acc")
-
-
-@dataclass(frozen=True)
-class TrainHyper:
-    """Optimization settings; defaults follow the reference configuration."""
-
-    lr: float = 1e-3
-    batch: int = 256
-    epochs: int = 500
-    patience: int = 50
-    val_fraction: float = 0.1
-    dynamic_weights: bool = True
-    ema_decay: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
-        if self.batch < 2:
-            raise ConfigError(f"batch size must be >= 2, got {self.batch}")
-        if self.epochs < 1 or self.epochs > 500:
-            raise ConfigError(f"epochs must be in [1, 500], got {self.epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val fraction must be in (0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -90,13 +63,13 @@ class FoldResult:
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, params: "list[Tensor]", lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: "list[Tensor]", lr: float = 1e-3):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -107,16 +80,16 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        lr_t = self.lr * math.sqrt(1.0 - self.beta2 ** self.t) / (1.0 - self.beta1 ** self.t)
+        lr_t = self.lr * math.sqrt(1.0 - self.BETA2 ** self.t) / (1.0 - self.BETA1 ** self.t)
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr_t * m / (np.sqrt(v) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * (g * g)
+            p.data -= lr_t * m / (np.sqrt(v) + self.EPS)
 
 
 def stratified_val_split(labels: np.ndarray, indices: np.ndarray, fraction: float,
@@ -153,8 +126,7 @@ def _check_gradients(net: QivcNet, where: str) -> None:
 
 
 def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.ndarray,
-               net_cfg: NetworkConfig, hyper: TrainHyper, fold_rng: Rng,
-               fold_dir: "str | Path") -> FoldResult:
+               cfg: RunConfig, fold_rng: Rng, fold_dir: "str | Path") -> FoldResult:
     """Train one fold end to end; writes checkpoint.bin and train_log.csv."""
     fold_dir = Path(fold_dir)
     fold_dir.mkdir(parents=True, exist_ok=True)
@@ -166,12 +138,12 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
     rng_init = fold_rng.fork()
     rng_data = fold_rng.fork()
     rng_noise = fold_rng.fork()
-    inner_train, val_idx = stratified_val_split(labels, train_idx, hyper.val_fraction, rng_data)
+    inner_train, val_idx = stratified_val_split(labels, train_idx, cfg.val_fraction, rng_data)
 
+    net_cfg = cfg.network_config()
     net = QivcNet(net_cfg, rng_init)
-    opt = Adam(net.parameters(), lr=hyper.lr, beta1=hyper.beta1,
-               beta2=hyper.beta2, eps=hyper.adam_eps)
-    lw = LossWeights(decay=hyper.ema_decay)
+    opt = Adam(net.parameters(), lr=cfg.lr)
+    lw = LossWeights(decay=cfg.ema_decay)
     state = TrainState(checkpoint_path=str(ckpt_path))
     val_segments = [segments[i] for i in val_idx]
     val_labels = labels[val_idx]
@@ -189,13 +161,13 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
     log_rows: "list[tuple]" = []
     n = len(inner_train)
 
-    for epoch in range(1, hyper.epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         state.epoch = epoch
         perm = rng_data.permutation(n)
         sums = {"loss": 0.0, "cce": 0.0, "dice": 0.0, "kl": 0.0}
         seen = 0
-        for start in range(0, n, hyper.batch):
-            take = perm[start: start + hyper.batch]
+        for start in range(0, n, cfg.batch):
+            take = perm[start: start + cfg.batch]
             if len(take) < 2:
                 continue  # a singleton batch has no usable batch statistics
             xb = Tensor(x_train[take])
@@ -203,7 +175,7 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
             probs = net.forward(xb, training=True, rng=rng_noise)
             loss, cce_v, dice_v, _ = composite_loss(probs, yb, lw, update_weights=False)
             kl = net.kl()
-            objective = total_loss(loss, kl, net_cfg.kl_scale)
+            objective = total_loss(loss, kl, cfg.kl_scale)
             value = objective.item()
             if not np.isfinite(value):
                 raise NumericalError(
@@ -219,7 +191,7 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
             sums["kl"] += kl.item() * size
             seen += size
         w_cce, w_dice = lw.w_cce, lw.w_dice
-        if hyper.dynamic_weights and seen:
+        if cfg.dynamic_weights and seen:
             lw.update(sums["cce"] / seen, sums["dice"] / seen)
         val_report = evaluate_segments(net, val_segments, val_labels)
         log_rows.append((epoch, sums["loss"] / seen, sums["cce"] / seen,
@@ -239,12 +211,12 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
             save_checkpoint(ckpt_path, net.state_arrays(),
                             {**meta_common, "best_val_f1": val_report.f1,
                              "best_epoch": epoch})
-            if state.bad_epochs > hyper.patience:
+            if state.bad_epochs > cfg.patience:
                 state.stopped_early = True
                 break
         else:
             state.bad_epochs += 1
-            if state.bad_epochs > hyper.patience:
+            if state.bad_epochs > cfg.patience:
                 state.stopped_early = True
                 break
 
@@ -261,30 +233,33 @@ def _fold_job(args) -> FoldResult:
     return train_fold(*args)
 
 
-def train(segments, split: FoldSplit, net_cfg: NetworkConfig, hyper: TrainHyper,
-          seed: int, outdir: "str | Path", fold_index: "int | None" = None,
-          jobs: int = 1) -> "list[FoldResult]":
-    """Train all folds (or one), sequentially or in parallel processes.
+def fold_indices(split: FoldSplit, fold_index: int) -> "list[int]":
+    """The folds a run trains: all of them when ``fold_index`` is -1."""
+    if fold_index < 0:
+        return list(range(split.k))
+    if fold_index >= split.k:
+        raise ConfigError(f"fold index {fold_index} out of range for {split.k} folds")
+    return [fold_index]
+
+
+def train(segments, split: FoldSplit, cfg: RunConfig,
+          outdir: "str | Path") -> "list[FoldResult]":
+    """Train all folds (or ``cfg.fold_index``), sequentially or in ``cfg.jobs``
+    parallel processes.
 
     Per-fold rngs are forked from the master seed before any work starts,
     so the artifacts are identical regardless of ``jobs`` or ``fold_index``.
     """
     outdir = Path(outdir)
-    master = Rng(seed)
+    master = Rng(cfg.seed)
     fold_rngs = [master.fork() for _ in range(split.k)]
-    wanted = range(split.k) if fold_index is None else [fold_index]
-    for i in wanted:
-        if not 0 <= i < split.k:
-            raise ConfigError(f"fold index {i} out of range for {split.k} folds")
     tasks = [(segments, i, split.train_indices(i), split.test_indices(i),
-              net_cfg, hyper, fold_rngs[i], outdir / f"fold{i}")
-             for i in wanted]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_fold_job, tasks))
-    else:
-        results = [_fold_job(t) for t in tasks]
-    return results
+              cfg, fold_rngs[i], outdir / f"fold{i}")
+             for i in fold_indices(split, cfg.fold_index)]
+    if cfg.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
+            return list(pool.map(_fold_job, tasks))
+    return [_fold_job(t) for t in tasks]
 
 
 METRICS_CSV_HEADER = ("fold",) + MetricsReport.CSV_HEADER + ("best_val_f1", "best_epoch")

@@ -18,6 +18,7 @@ from qivcnet import autodiff as ad
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint
 from qivcnet.cli import main
+from qivcnet.config import RunConfig
 from qivcnet.folds import segment_labels, stratified_kfold
 from qivcnet.linalg import haar_so, orthonormal_basis
 from qivcnet.losses import LossWeights, composite_loss, one_hot
@@ -27,7 +28,7 @@ from qivcnet.preprocess import Recording, bandpass, inject_noise_snr
 from qivcnet.qire import QireConfig, qire_sample
 from qivcnet.rng import Rng
 from qivcnet.synthetic import make_dataset, write_wav_dataset
-from qivcnet.training import TrainHyper, evaluate_segments, train_fold
+from qivcnet.training import evaluate_segments, train_fold
 from qivcnet.variational import QiVConv, kl_divergence, softplus_inverse, total_loss
 
 
@@ -270,11 +271,10 @@ def desk_run(tmp_path_factory):
     t0 = time.time()
     segments = make_dataset(500, Rng(0).fork())
     split = stratified_kfold(segments, k=5, seed=0)
-    net_cfg = NetworkConfig(qire=QireConfig(k=5, p=0.05), seed=0)
-    hyper = TrainHyper(lr=1e-3, batch=64, epochs=50, patience=6)
+    cfg = RunConfig(lr=1e-3, batch=64, epochs=50, patience=6, k=5, p=0.05, seed=0)
     fold_dir = tmp_path_factory.mktemp("desk") / "fold0"
     result = train_fold(segments, 0, split.train_indices(0),
-                        split.test_indices(0), net_cfg, hyper, Rng(1), fold_dir)
+                        split.test_indices(0), cfg, Rng(1), fold_dir)
     return {"segments": segments, "result": result,
             "runtime": time.time() - t0}
 

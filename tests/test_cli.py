@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qivcnet.checkpoint import load_checkpoint, save_checkpoint
 from qivcnet.cli import main
 from qivcnet.rng import Rng
 from qivcnet.synthetic import write_wav_dataset
@@ -239,6 +240,22 @@ def test_eval_rejects_cache_from_a_different_corpus(pipeline, tmp_path):
                           "--outdir", tmp_path / "eval"])
     assert rc == 3
     assert err.startswith("error code=3 kind=data:")
+
+
+@pytest.mark.parametrize("keep, patch", [
+    ((), {}),                                   # only n_segments survives
+    (("network", "val_indices"), {"test_indices": [0, 12]}),  # 12 is past the cache
+])
+def test_eval_rejects_incomplete_checkpoint_metadata(pipeline, tmp_path, keep, patch):
+    arrays, meta = load_checkpoint(pipeline["checkpoint"])
+    broken = {"n_segments": meta["n_segments"], **{k: meta[k] for k in keep}, **patch}
+    save_checkpoint(tmp_path / "broken.bin", arrays, broken)
+    rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
+                          "--checkpoint", tmp_path / "broken.bin",
+                          "--outdir", tmp_path / "eval"])
+    assert rc == 3
+    assert err.startswith("error code=3 kind=data:")
+    assert not (tmp_path / "eval").exists()
 
 
 def test_malformed_blocks_flag_is_a_config_error(tmp_path):

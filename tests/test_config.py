@@ -1,5 +1,7 @@
 """Run configuration: file parsing, precedence, derived configs."""
 
+import json
+
 import pytest
 
 from qivcnet.config import (
@@ -10,6 +12,8 @@ from qivcnet.config import (
     resolve_config,
 )
 from qivcnet.errors import ConfigError
+from qivcnet.network import NetworkConfig, config_to_dict
+from qivcnet.qire import QireConfig
 
 
 # ------------------------------------------------------------------ blocks
@@ -108,6 +112,12 @@ def test_resolve_validates(tmp_path):
         resolve_config(None, {"jobs": 0})
     with pytest.raises(ConfigError):
         resolve_config(None, {"fold_index": -2})
+    with pytest.raises(ConfigError):
+        resolve_config(None, {"fold_index": 5, "folds": 5})
+    with pytest.raises(ConfigError):
+        resolve_config(None, {"ema_decay": 1.5})
+    with pytest.raises(ConfigError):
+        resolve_config(None, {"bn_momentum": 7.0})
 
 
 # ----------------------------------------------------------------- derived
@@ -120,8 +130,7 @@ def test_derived_configs():
     assert net.qire.k == 3
     assert net.qire.p == 0.1
     assert net.classifier_width == 8
-    hyper = cfg.train_hyper()
-    assert hyper.lr == 0.002
+    assert cfg.lr == 0.002
     assert cfg.snr_values() == [25.0, 20.0, 15.0, 10.0, 5.0]
     assert cfg.kernel_shape_tuple() == (7, 16, 32)
 
@@ -145,3 +154,35 @@ def test_config_text_round_trips(tmp_path):
     assert again == cfg
     assert "lr = 0.0025" in text
     assert "pool_between = false" in text
+
+
+# --------------------------------------------------------------------- pins
+
+DEFAULT_CONFIG_TEXT = (
+    "manifest = \ncache = segments.qivc\noutdir = runs/latest\ncheckpoint = \n"
+    "k = 5\np = 0.05\nrescale_sqrt_n = false\nprior_var = 0.01\nkl_scale = 1e-05\n"
+    "blocks = 16x7,32x7\npool_between = true\nclassifier_width = 32\n"
+    "activation = relu\nbn_momentum = 0.1\nlr = 0.001\nbatch = 256\nepochs = 500\n"
+    "patience = 50\nfolds = 5\nfold_index = -1\nval_fraction = 0.1\n"
+    "dynamic_weights = true\nema_decay = 0.9\ngroup_by_recording = false\njobs = 1\n"
+    "seed = 0\nsnr_list = 25,20,15,10,5\ntrials = 10000\nkernel_shape = 7x16x32\n")
+
+
+def test_default_config_text_bytes_are_pinned():
+    assert config_text(RunConfig()) == DEFAULT_CONFIG_TEXT
+
+
+def test_network_echo_json_bytes_are_pinned():
+    cfg = NetworkConfig(blocks=((4, 3), (6, 5)), classifier_width=8,
+                        qire=QireConfig(k=3, p=0.1, rescale_sqrt_n=True),
+                        prior_var=0.02, kl_scale=0.0, bn_momentum=0.2,
+                        activation="tanh", pool_between=False, seed=9)
+    assert json.dumps(config_to_dict(cfg), sort_keys=True) == (
+        '{"activation": "tanh", "blocks": [[4, 3], [6, 5]], "bn_momentum": 0.2, '
+        '"classifier_width": 8, "kl_scale": 0.0, "pool_between": false, '
+        '"prior_var": 0.02, "qire": {"k": 3, "p": 0.1, "rescale_sqrt_n": true}, '
+        '"seed": 9}')
+
+
+def test_default_blocks_match_the_network_default():
+    assert parse_blocks(RunConfig().blocks) == NetworkConfig().blocks

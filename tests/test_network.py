@@ -78,6 +78,17 @@ def test_config_from_dict_missing_key():
         config_from_dict(d)
 
 
+def test_config_from_dict_rejects_unexpected_keys():
+    d = config_to_dict(MICRO)
+    d["dropout"] = 0.5
+    with pytest.raises(ConfigError, match="unexpected keys \\['dropout'\\]"):
+        config_from_dict(d)
+    d = config_to_dict(MICRO)
+    d["qire"]["temperature"] = 1.0
+    with pytest.raises(ConfigError, match="unexpected keys \\['temperature'\\]"):
+        config_from_dict(d)
+
+
 # ----------------------------------------------------------------- outputs
 
 def test_output_rows_are_probabilities():

@@ -1,5 +1,6 @@
 """Optimizer math, validation splits, and the per-fold training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,19 +9,19 @@ import pytest
 from qivcnet import training
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint
+from qivcnet.dataio import write_csv
 from qivcnet.errors import ConfigError, DataError, NumericalError
 from qivcnet.folds import segment_labels, stratified_kfold
 from qivcnet.metrics import compute_metrics
-from qivcnet.network import NetworkConfig, QivcNet, config_from_dict
+from qivcnet.config import RunConfig
+from qivcnet.network import QivcNet, config_from_dict
 from qivcnet.preprocess import Segment
-from qivcnet.qire import QireConfig
 from qivcnet.rng import Rng
 from qivcnet.training import (
     METRICS_CSV_HEADER,
     TRAIN_LOG_HEADER,
     Adam,
     FoldResult,
-    TrainHyper,
     TrainState,
     evaluate_segments,
     metrics_rows,
@@ -29,8 +30,8 @@ from qivcnet.training import (
     train_fold,
 )
 
-MICRO = NetworkConfig(blocks=((2, 3), (3, 3)), classifier_width=3,
-                      qire=QireConfig(k=2, p=0.05), seed=0)
+# RunConfig settings of a two-block micro network
+MICRO = {"blocks": "2x3,3x3", "classifier_width": 3, "k": 2, "p": 0.05}
 
 
 def _separable_segments(n=32, length=64):
@@ -104,7 +105,7 @@ def test_hyper_validation():
     for kwargs in ({"lr": 0.0}, {"batch": 1}, {"epochs": 0}, {"epochs": 501},
                    {"patience": -1}, {"val_fraction": 0.0}, {"val_fraction": 1.0}):
         with pytest.raises(ConfigError):
-            TrainHyper(**kwargs)
+            RunConfig(**kwargs)
 
 
 # -------------------------------------------------------------- val split
@@ -147,9 +148,9 @@ def test_val_split_rejects_tiny_class():
 def test_train_fold_learns_separable_data(tmp_path):
     segs = _separable_segments(48)
     split = stratified_kfold(segs, k=4, seed=0)
-    hyper = TrainHyper(lr=5e-3, batch=8, epochs=12, patience=20, val_fraction=0.15)
+    cfg = RunConfig(lr=5e-3, batch=8, epochs=12, patience=20, val_fraction=0.15, **MICRO)
     res = train_fold(segs, 0, split.train_indices(0), split.test_indices(0),
-                     MICRO, hyper, Rng(1), tmp_path / "fold0")
+                     cfg, Rng(1), tmp_path / "fold0")
     assert (tmp_path / "fold0" / "checkpoint.bin").is_file()
     assert (tmp_path / "fold0" / "train_log.csv").is_file()
     losses = [row[1] for row in res.log_rows]
@@ -164,9 +165,9 @@ def test_train_fold_learns_separable_data(tmp_path):
 def test_train_fold_checkpoint_reproduces_reported_metrics(tmp_path):
     segs = _separable_segments(32)
     split = stratified_kfold(segs, k=4, seed=1)
-    hyper = TrainHyper(lr=2e-3, batch=8, epochs=2, patience=5)
+    cfg = RunConfig(lr=2e-3, batch=8, epochs=2, patience=5, **MICRO)
     res = train_fold(segs, 0, split.train_indices(0), split.test_indices(0),
-                     MICRO, hyper, Rng(2), tmp_path / "f")
+                     cfg, Rng(2), tmp_path / "f")
     arrays, meta = load_checkpoint(tmp_path / "f" / "checkpoint.bin")
     assert meta["fold_index"] == 0
     assert meta["best_epoch"] == res.state.best_epoch
@@ -185,9 +186,9 @@ def test_tie_refreshes_checkpoint_but_burns_patience(tmp_path):
     # identical every epoch: first epoch improves, every later one ties
     segs = _separable_segments(32)
     split = stratified_kfold(segs, k=4, seed=2)
-    hyper = TrainHyper(lr=1e-12, batch=8, epochs=10, patience=1)
+    cfg = RunConfig(lr=1e-12, batch=8, epochs=10, patience=1, **MICRO)
     res = train_fold(segs, 0, split.train_indices(0), split.test_indices(0),
-                     MICRO, hyper, Rng(3), tmp_path / "f")
+                     cfg, Rng(3), tmp_path / "f")
     assert res.state.stopped_early
     # epoch 1 improves (bad=0), epochs 2-3 tie (bad=1,2); 2 > patience stops
     assert res.state.epoch == 3
@@ -204,8 +205,8 @@ def test_train_fold_rejects_single_class_split(tmp_path):
     train_idx = np.nonzero(labels == 0)[0]
     test_idx = np.nonzero(labels == 1)[0]
     with pytest.raises(DataError):
-        train_fold(segs, 0, train_idx, test_idx, MICRO,
-                   TrainHyper(epochs=1), Rng(0), tmp_path / "f")
+        train_fold(segs, 0, train_idx, test_idx,
+                   RunConfig(epochs=1, **MICRO), Rng(0), tmp_path / "f")
 
 
 def test_train_fold_names_the_parameter_with_a_non_finite_gradient(tmp_path, monkeypatch):
@@ -231,8 +232,8 @@ def test_train_fold_names_the_parameter_with_a_non_finite_gradient(tmp_path, mon
     split = stratified_kfold(segs, k=4, seed=0)
     with pytest.raises(NumericalError, match=r"epoch 1: non-finite gradient for "
                                              r"block1\.fusion_lstm\.wh"):
-        train_fold(segs, 0, split.train_indices(0), split.test_indices(0), MICRO,
-                   TrainHyper(epochs=1, batch=8), Rng(0), tmp_path / "f")
+        train_fold(segs, 0, split.train_indices(0), split.test_indices(0),
+                   RunConfig(epochs=1, batch=8, **MICRO), Rng(0), tmp_path / "f")
 
 
 # ------------------------------------------------------------ orchestration
@@ -240,8 +241,8 @@ def test_train_fold_names_the_parameter_with_a_non_finite_gradient(tmp_path, mon
 def test_train_runs_requested_folds(tmp_path):
     segs = _separable_segments(24)
     split = stratified_kfold(segs, k=3, seed=0)
-    hyper = TrainHyper(lr=2e-3, batch=8, epochs=1, patience=2)
-    results = train(segs, split, MICRO, hyper, seed=5, outdir=tmp_path)
+    cfg = RunConfig(lr=2e-3, batch=8, epochs=1, patience=2, seed=5, **MICRO)
+    results = train(segs, split, cfg, tmp_path)
     assert [r.fold for r in results] == [0, 1, 2]
     for i in range(3):
         assert (tmp_path / f"fold{i}" / "checkpoint.bin").is_file()
@@ -250,22 +251,35 @@ def test_train_runs_requested_folds(tmp_path):
 def test_single_fold_matches_full_run(tmp_path):
     segs = _separable_segments(24)
     split = stratified_kfold(segs, k=3, seed=0)
-    hyper = TrainHyper(lr=2e-3, batch=8, epochs=1, patience=2)
-    train(segs, split, MICRO, hyper, seed=5, outdir=tmp_path / "all")
-    only = train(segs, split, MICRO, hyper, seed=5, outdir=tmp_path / "one",
-                 fold_index=1)
+    cfg = RunConfig(lr=2e-3, batch=8, epochs=1, patience=2, seed=5, **MICRO)
+    train(segs, split, cfg, tmp_path / "all")
+    only = train(segs, split, dataclasses.replace(cfg, fold_index=1), tmp_path / "one")
     assert [r.fold for r in only] == [1]
     full_bytes = (tmp_path / "all" / "fold1" / "checkpoint.bin").read_bytes()
     solo_bytes = (tmp_path / "one" / "fold1" / "checkpoint.bin").read_bytes()
     assert full_bytes == solo_bytes
 
 
+def test_process_pool_gives_byte_identical_artifacts(tmp_path):
+    segs = _separable_segments(24)
+    split = stratified_kfold(segs, k=2, seed=0)
+    cfg = RunConfig(lr=2e-3, batch=8, epochs=1, patience=2, seed=5, **MICRO)
+    for jobs in (1, 2):
+        outdir = tmp_path / f"jobs{jobs}"
+        results = train(segs, split, dataclasses.replace(cfg, jobs=jobs), outdir)
+        write_csv(outdir / "metrics.csv", METRICS_CSV_HEADER, metrics_rows(results))
+    names = ["metrics.csv"] + [f"fold{i}/{f}" for i in range(2)
+                               for f in ("checkpoint.bin", "train_log.csv")]
+    for name in names:
+        assert (tmp_path / "jobs1" / name).read_bytes() == \
+            (tmp_path / "jobs2" / name).read_bytes(), name
+
+
 def test_train_rejects_bad_fold_index(tmp_path):
     segs = _separable_segments(24)
     split = stratified_kfold(segs, k=3, seed=0)
     with pytest.raises(ConfigError):
-        train(segs, split, MICRO, TrainHyper(epochs=1), seed=0,
-              outdir=tmp_path, fold_index=3)
+        train(segs, split, RunConfig(epochs=1, fold_index=3, **MICRO), tmp_path)
 
 
 # ----------------------------------------------------------------- metrics
