@@ -28,7 +28,8 @@ rebuild:
    states, its output; tanh of the cells is recomputed a chunk at a time,
    and a list input is read part by part, never joined;
  - reverse_time returns a view;
- - max_pool keeps the in-window argmax in the smallest unsigned type.
+ - max_pool keeps a bool mask of the windows whose maximum is their
+   second step.
 
 Closures capture the arrays they read at forward time and never read a
 tensor's ``.data`` later, because ``load_state`` rebinds ``.data``.
@@ -470,24 +471,23 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
     return _make(out, parents, back)
 
 
-def max_pool(x: Tensor, width: int = 2) -> Tensor:
-    """Non-overlapping max pooling along time; a trailing remainder is dropped."""
+def max_pool(x: Tensor) -> Tensor:
+    """Max pooling over non-overlapping pairs of time steps; an odd last step
+    is dropped.  As with argmax, a tie goes to the first step and a NaN beats
+    any number."""
     if x.ndim != 3:
         raise ShapeError(f"max_pool input must be rank 3, got shape {x.shape}")
-    if width < 1:
-        raise ShapeError(f"pool width must be >= 1, got {width}")
     B, T, C = x.shape
-    t_out = T // width
-    if t_out == 0:
-        raise ShapeError(f"signal length {T} shorter than pool width {width}")
-    xr = x.data[:, : t_out * width, :].reshape(B, t_out, width, C)
-    idx = xr.argmax(axis=2).astype(np.min_scalar_type(width - 1))   # in-window offset
-    out = np.take_along_axis(xr, idx[:, :, None, :], axis=2)[:, :, 0, :]
+    if T < 2:
+        raise ShapeError(f"signal length {T} shorter than pool width 2")
+    even, odd = x.data[:, 0: T - 1: 2], x.data[:, 1::2]
+    right = (odd > even) | (np.isnan(odd) & ~np.isnan(even))
+    out = np.where(right, odd, even)
 
     def back(g):
         dx = np.zeros((B, T, C))
-        dxr = dx[:, : t_out * width, :].reshape(B, t_out, width, C)    # a view of dx
-        np.put_along_axis(dxr, idx[:, :, None, :], g[:, :, None, :], axis=2)
+        np.copyto(dx[:, 0: T - 1: 2], g, where=~right)
+        np.copyto(dx[:, 1::2], g, where=right)
         _accumulate(x, dx)
 
     return _make(out, (x,), back)
@@ -603,45 +603,28 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 _LSTM_CHUNK = 16   # steps per backward chunk; its gate rows stay in cache
 
 
-def _lstm_factors(z: np.ndarray, cells: np.ndarray, tanh_c: np.ndarray,
-                  c_first: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+def _lstm_factors(z: np.ndarray, c_prev: np.ndarray,
+                  tanh_c: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Turn a chunk of LSTM gate values into derivative factors, in place.
 
-    z holds the gate values [i, f, o, g] of steps t0..t1-1, cells and tanh_c
-    the cell states and their tanh, c_first the cell state before t0.  On
-    return z holds the factors that map dc (or dh, for the output gate) to
-    the gate pre-activation gradients:
+    z holds the gate values [i, f, o, g] of a chunk of steps, c_prev the cell
+    states before each step and tanh_c the tanh of the cell states.  On return
+    z holds the factors that map dc (or dh, for the output gate) to the gate
+    pre-activation gradients:
 
         input  g * i(1-i)          forget  c_prev * f(1-f)
         output tanh(c) * o(1-o)    cell    i * (1-g^2)
 
     and the result is (o * (1-tanh(c)^2), f): the first carries dh into dc,
-    the second carries dc back one step.  tanh_c is overwritten.
+    the second carries dc back one step.
     """
     H = z.shape[-1] // 4
-    i_g = z[:, :, :H]
-    f_g = z[:, :, H: 2 * H]
-    o_g = z[:, :, 2 * H: 3 * H]
-    g_g = z[:, :, 3 * H:]
-    dh_dc = np.multiply(tanh_c, tanh_c)
-    np.subtract(1.0, dh_dc, out=dh_dc)
-    dh_dc *= o_g
-    tanh_c *= o_g
-    np.subtract(1.0, o_g, out=o_g)
-    o_g *= tanh_c
-    f = f_g.copy()
-    np.subtract(1.0, f, out=f_g)
-    f_g *= f
-    f_g[0] *= c_first
-    f_g[1:] *= cells[:-1]
-    cell = np.multiply(g_g, g_g)
-    np.subtract(1.0, cell, out=cell)
-    cell *= i_g
-    np.subtract(1.0, i_g, out=tanh_c)
-    i_g *= tanh_c
-    i_g *= g_g
-    g_g[...] = cell
-    return dh_dc, f
+    i, f, o, g = (z[:, :, k * H: (k + 1) * H].copy() for k in range(4))
+    z[:, :, :H] = i * (1.0 - i) * g
+    z[:, :, H: 2 * H] = (1.0 - f) * f * c_prev
+    z[:, :, 2 * H: 3 * H] = (1.0 - o) * (tanh_c * o)
+    z[:, :, 3 * H:] = (1.0 - g * g) * i
+    return (1.0 - tanh_c * tanh_c) * o, f
 
 
 def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -676,23 +659,18 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     rows = [slice(end - xk.shape[2], end) for xk, end in zip(xs, ends)]
     wxd, whd = wx.data, wh.data
 
-    # Input projection as batched GEMMs straight into time-major order; the
-    # recurrence then works on contiguous (B, 4H) rows with preallocated
-    # buffers to keep the per-step python overhead down (this loop dominates
-    # training time).  Later parts are added a chunk of steps at a time, so
-    # no second (T, B, 4H) array is made.
+    # Input projection as batched GEMMs straight into time-major order, so
+    # the recurrence works on contiguous (B, 4H) rows.  Later parts are added
+    # a chunk of steps at a time, so no second (T, B, 4H) array is made.
     half = np.ones(4 * H)
     half[: 3 * H] = 0.5
     shift = 1.0 - half                          # 0.5 on sigmoid gates, 0 on the cell gate
     wxh = wxd * half
     gates = np.matmul(xs[0].transpose(1, 0, 2), wxh[rows[0]])   # (T, B, 4H)
-    proj = np.empty((min(T, _LSTM_CHUNK), B, 4 * H))
     for xk, rk in zip(xs[1:], rows[1:]):
         for start in range(0, T, _LSTM_CHUNK):
-            gates_c = gates[start: start + _LSTM_CHUNK]
-            np.matmul(xk[:, start: start + _LSTM_CHUNK].transpose(1, 0, 2), wxh[rk],
-                      out=proj[: len(gates_c)])
-            gates_c += proj[: len(gates_c)]
+            gates[start: start + _LSTM_CHUNK] += (
+                xk[:, start: start + _LSTM_CHUNK].transpose(1, 0, 2) @ wxh[rk])
     bias = b.data * half
     whh = whd * half
     i_g = gates[:, :, :H]
@@ -701,39 +679,24 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     g_g = gates[:, :, 3 * H:]
     cells = np.empty((T, B, H))
     hiddens = np.empty((T, B, H))
-    tmp = np.empty((B, H))
-    tc = np.empty((B, H))
-    zbuf = np.empty((B, 4 * H))
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     for t in range(T):
         z = gates[t]
-        np.dot(h, whh, out=zbuf)
-        z += zbuf
+        z += h @ whh
         z += bias
         np.tanh(z, out=z)
         z *= half
         z += shift
-        c_t = cells[t]
-        np.multiply(f_g[t], c, out=c_t)
-        np.multiply(i_g[t], g_g[t], out=tmp)
-        c_t += tmp
-        np.tanh(c_t, out=tc)
-        h = hiddens[t]
-        np.multiply(o_g[t], tc, out=h)
-        c = c_t
+        c = cells[t] = f_g[t] * c + i_g[t] * g_g[t]
+        h = hiddens[t] = o_g[t] * np.tanh(c)
     # the one copy of the hidden states kept: per-step rows of a (B, T, H)
     # array would not be contiguous and would slow down the step loop's GEMM
     out = np.ascontiguousarray(hiddens.transpose(1, 0, 2))
 
     def back(g):
-        dh = np.empty((B, H))
-        dc = np.empty((B, H))
         dcf = np.zeros((B, H))                 # dc_next * f_next, carried back
         dhr = np.zeros((B, H))
-        chunk = min(T, _LSTM_CHUNK)
-        tanh_c = np.empty((chunk, B, H))
-        gt = np.empty((chunk, B, H))
         wht = np.ascontiguousarray(whd.T)
         wxt = np.ascontiguousarray(wxd.T)
         dwx = np.zeros((I, 4 * H))
@@ -749,26 +712,21 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
             start = max(0, stop - _LSTM_CHUNK)
             n = stop - start
             part = gates[start: stop]          # gate values become gradients
-            c_first = cells[start - 1] if start else np.zeros((B, H))
-            tc = np.tanh(cells[start: stop], out=tanh_c[:n])
-            dh_dc, f = _lstm_factors(part, cells[start: stop], tc, c_first)
+            c_prev = (cells[start - 1: stop - 1] if start else
+                      np.concatenate((np.zeros((1, B, H)), cells[: stop - 1])))
+            dh_dc, f = _lstm_factors(part, c_prev, np.tanh(cells[start: stop]))
             dz_if = part.reshape(n, B, 4, H)[:, :, :2]
             dz_o = part[:, :, 2 * H: 3 * H]
             dz_g = part[:, :, 3 * H:]
-            gc = gt[:n]
-            gc[...] = g[:, start: stop].transpose(1, 0, 2)
+            gc = g[:, start: stop]
             for t in range(n - 1, -1, -1):
-                np.add(gc[t], dhr, out=dh)
-                np.multiply(dh, dh_dc[t], out=dc)
-                dc += dcf
-                np.multiply(dc, f[t], out=dcf)
-                d = dz_if[t]
-                np.multiply(d, dc[:, None, :], out=d)
-                d = dz_o[t]
-                d *= dh
-                d = dz_g[t]
-                d *= dc
-                np.dot(part[t], wht, out=dhr)
+                dh = gc[:, t] + dhr
+                dc = dh * dh_dc[t] + dcf
+                dcf = dc * f[t]
+                dz_if[t] *= dc[:, None, :]
+                dz_o[t] *= dh
+                dz_g[t] *= dc
+                dhr = part[t] @ wht
             dz = part.reshape(n * B, 4 * H)
             db += np.ones(n * B) @ dz            # a GEMV beats dz.sum(axis=0)
             if wx.requires_grad:

@@ -16,13 +16,13 @@ architecture echo).  The checksum guards against truncation and bit rot.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
+from .dataio import publish
 from .errors import DataError
 
 MAGIC = b"QIVCCKPT"
@@ -59,14 +59,7 @@ def save_checkpoint(path: "str | Path", arrays: "dict[str, np.ndarray]",
             body += struct.pack("<BI", _KIND_JSON, len(payload))
             body += payload
     body += struct.pack("<I", zlib.crc32(bytes(body)))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(MAGIC + bytes(body))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    publish(path, lambda tmp: tmp.write_bytes(MAGIC + bytes(body)))
 
 
 def load_checkpoint(path: "str | Path") -> "tuple[dict[str, np.ndarray], dict]":

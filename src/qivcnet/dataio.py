@@ -20,11 +20,12 @@ form, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 import sys
 import wave
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,6 +51,8 @@ def read_wav(path: "str | Path") -> "tuple[np.ndarray, float]":
         raise DataError(f"unreadable WAV file {path}: {exc}") from exc
     if width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got sample width {width}")
+    if len(frames) % (width * channels):
+        raise DataError(f"{path}: WAV data ends inside a frame")
     data = np.frombuffer(frames, dtype="<i2")
     if channels > 1:
         print(f"warning: {path} has {channels} channels; using channel 0",
@@ -74,6 +77,8 @@ def load_manifest(path: "str | Path") -> "list[tuple[str, Path, str]]":
             raise DataError(
                 f"manifest {path} must have columns recording_id,relative_path,label")
         for line, row in enumerate(reader, start=2):
+            if None in (row["recording_id"], row["relative_path"], row["label"]):
+                raise DataError(f"{path}:{line}: row has fewer than 3 fields")
             label = row["label"].strip()
             if label not in LABELS:
                 raise DataError(f"{path}:{line}: unknown label {label!r}")
@@ -96,17 +101,34 @@ def iter_recordings(manifest_path: "str | Path") -> "Iterator[Recording]":
         yield Recording(samples=samples, sample_rate=rate, id=rec_id, label=label)
 
 
-def save_segment_cache(path: "str | Path", segments: "list[Segment]") -> None:
+def publish(path: "str | Path", write: "Callable[[Path], object]") -> None:
+    """Call ``write`` on a temporary file beside ``path``, then move it over
+    ``path``, so a failure or kill during the write leaves any earlier file
+    intact."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<HII2x", CACHE_VERSION, len(segments), SEGMENT_LENGTH))
-        for seg in segments:
-            rec_id = seg.recording_id.encode("utf-8")
-            fh.write(struct.pack("<BH", LABEL_TO_INT[seg.label], len(rec_id)))
-            fh.write(rec_id)
-            fh.write(struct.pack("<I", seg.window_index))
-            fh.write(seg.values.astype("<f4").tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_segment_cache(path: "str | Path", segments: "list[Segment]") -> None:
+    """Stream the segments to a new cache file that then replaces ``path``."""
+    def write(tmp: Path) -> None:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(struct.pack("<HII2x", CACHE_VERSION, len(segments), SEGMENT_LENGTH))
+            for seg in segments:
+                rec_id = seg.recording_id.encode("utf-8")
+                fh.write(struct.pack("<BH", LABEL_TO_INT[seg.label], len(rec_id)))
+                fh.write(rec_id)
+                fh.write(struct.pack("<I", seg.window_index))
+                fh.write(seg.values.astype("<f4").tobytes())
+
+    publish(path, write)
 
 
 def load_segment_cache(path: "str | Path") -> "list[Segment]":

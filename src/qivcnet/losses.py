@@ -89,15 +89,12 @@ class LossWeights:
             self.w_dice = 2.0 * self.ema_dice / total
 
 
-def composite_loss(pred: Tensor, target: np.ndarray, lw: LossWeights,
-                   update_weights: bool = True) -> "tuple[Tensor, float, float, LossWeights]":
-    """Weighted CCE + Dice; returns (loss, cce value, dice value, weights).
+def composite_loss(pred: Tensor, target: np.ndarray,
+                   lw: LossWeights) -> "tuple[Tensor, float, float]":
+    """Weighted CCE + Dice; returns (loss, cce value, dice value).
 
-    ``update_weights`` folds this call's component values into ``lw``; the
-    trainer passes False and refreshes the weights once per epoch from the
-    epoch means instead, so every batch in an epoch sees the same weights.
-    The weights used for the returned loss are always the ones in effect
-    before any update.
+    ``lw`` is only read: the trainer refreshes the weights once per epoch
+    from the epoch means, so every batch in an epoch sees the same weights.
     """
     target = np.asarray(target, dtype=np.float64)
     rows = pred.data.sum(axis=-1)
@@ -106,8 +103,4 @@ def composite_loss(pred: Tensor, target: np.ndarray, lw: LossWeights,
     cce = categorical_cross_entropy(pred, target)
     dice = dice_loss(pred, target)
     loss = cce * lw.w_cce + dice * lw.w_dice
-    cce_value = cce.item()
-    dice_value = dice.item()
-    if update_weights:
-        lw.update(cce_value, dice_value)
-    return loss, cce_value, dice_value, lw
+    return loss, cce.item(), dice.item()

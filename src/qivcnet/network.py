@@ -156,7 +156,7 @@ class QivcNet(Layer):
         for i, block in enumerate(self.blocks):
             x = block.forward(x, training, rng)
             if self.cfg.pool_between and i + 1 < len(self.blocks):
-                x = ad.max_pool(x, width=2)
+                x = ad.max_pool(x)
         return ad.global_max_pool(x)
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:

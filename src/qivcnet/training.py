@@ -173,7 +173,7 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
             xb = Tensor(x_train[take])
             yb = one_hot(y_train[take])
             probs = net.forward(xb, training=True, rng=rng_noise)
-            loss, cce_v, dice_v, _ = composite_loss(probs, yb, lw, update_weights=False)
+            loss, cce_v, dice_v = composite_loss(probs, yb, lw)
             kl = net.kl()
             objective = total_loss(loss, kl, cfg.kl_scale)
             value = objective.item()
@@ -197,28 +197,20 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
         log_rows.append((epoch, sums["loss"] / seen, sums["cce"] / seen,
                          sums["dice"] / seen, w_cce, w_dice, sums["kl"] / seen,
                          val_report.f1, val_report.accuracy))
+        improved = val_report.f1 > state.best_val_f1
         if val_report.f1 >= state.best_val_f1:
             # ties refresh the checkpoint: among equally best epochs the most
             # recent is kept (longer-trained weights are better calibrated),
             # but only a strict improvement resets the patience counter
-            improved = val_report.f1 > state.best_val_f1
             state.best_val_f1 = val_report.f1
             state.best_epoch = epoch
-            if improved:
-                state.bad_epochs = 0
-            else:
-                state.bad_epochs += 1
             save_checkpoint(ckpt_path, net.state_arrays(),
                             {**meta_common, "best_val_f1": val_report.f1,
                              "best_epoch": epoch})
-            if state.bad_epochs > cfg.patience:
-                state.stopped_early = True
-                break
-        else:
-            state.bad_epochs += 1
-            if state.bad_epochs > cfg.patience:
-                state.stopped_early = True
-                break
+        state.bad_epochs = 0 if improved else state.bad_epochs + 1
+        if state.bad_epochs > cfg.patience:
+            state.stopped_early = True
+            break
 
     if state.best_epoch < 0:
         raise NumericalError(f"fold {fold_index}: no epoch produced a usable checkpoint")

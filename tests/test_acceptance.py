@@ -143,8 +143,7 @@ def test_criterion_3_gradients_match_finite_differences():
 
         def net_loss():
             probs = net.forward(Tensor(x), training=True, rng=Rng(97))
-            task, _, _, _ = composite_loss(probs, y, LossWeights(),
-                                           update_weights=False)
+            task, _, _ = composite_loss(probs, y, LossWeights())
             return total_loss(task, net.kl(), lam)
 
         loss = net_loss()

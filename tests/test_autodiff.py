@@ -209,11 +209,11 @@ def test_conv1d_shape_errors():
 
 def test_max_pool_values_and_grads():
     x = np.array([[[1.0], [5.0], [3.0], [2.0], [9.0]]])  # T=5, width 2 drops tail
-    out = ad.max_pool(Tensor(x), 2)
+    out = ad.max_pool(Tensor(x))
     assert out.data.ravel().tolist() == [5.0, 3.0]
     xr = RNG.normal(size=(2, 6, 3))
     xr += np.linspace(0, 1, 6)[None, :, None]  # break ties
-    gradcheck(lambda ts: ad.tsum(ad.max_pool(ts[0], 2) * ad.max_pool(ts[0], 2)), [xr])
+    gradcheck(lambda ts: ad.tsum(ad.max_pool(ts[0]) * ad.max_pool(ts[0])), [xr])
 
 
 def test_global_max_pool_example_and_grads():
@@ -224,23 +224,37 @@ def test_global_max_pool_example_and_grads():
     gradcheck(lambda ts: ad.tsum(ad.global_max_pool(ts[0] * ts[0])), [xr])
 
 
-def test_max_pool_grads_with_offsets_past_uint8():
-    # in-window offsets are saved in the smallest unsigned type: uint16 here
-    width = 257
-    x = RNG.normal(size=(2, 2 * width + 3, 2))
-    x[0, width - 1, 0] = 10.0                     # offset 256 of the first window
+def _max_pool_oracle(x, g):
+    """Width-2 max pool by argmax: first maximum wins, a NaN beats any number."""
+    B, T, C = x.shape
+    xr = x[:, : T // 2 * 2].reshape(B, T // 2, 2, C)
+    idx = xr.argmax(axis=2)[:, :, None]
+    dx = np.zeros_like(x)
+    np.put_along_axis(dx[:, : T // 2 * 2].reshape(xr.shape), idx, g[:, :, None], axis=2)
+    return np.take_along_axis(xr, idx, axis=2)[:, :, 0], dx
+
+
+@pytest.mark.parametrize("tail", [0, 1])
+def test_max_pool_matches_argmax_oracle_bit_for_bit(tail):
+    # every ordered pair of special values fills one window: ties, -0.0
+    # beside 0.0, NaN in either slot and +-inf, then a trailing odd step
+    special = [0.0, -0.0, 1.5, -1.5, np.nan, np.inf, -np.inf]
+    pairs = np.array([(a, b) for a in special for b in special]).ravel()
+    x = np.stack([pairs, pairs[::-1], RNG.normal(size=pairs.size)], axis=-1)[None]
+    x = np.concatenate([x, RNG.normal(size=(1, tail, 3))], axis=1)
+    x = np.concatenate([x, -x], axis=0)
     t = Tensor(x, requires_grad=True)
-    ad.backward(ad.tsum(ad.max_pool(t, width)))
-    want = np.zeros_like(x)
-    for b, w, c in np.ndindex(2, 2, 2):
-        want[b, w * width + np.argmax(x[b, w * width: (w + 1) * width, c]), c] = 1.0
-    assert want[0, width - 1, 0] == 1.0
-    assert np.array_equal(t.grad, want)
+    out = ad.max_pool(t)
+    g = RNG.normal(size=out.shape)
+    out._backward(g)
+    want_out, want_dx = _max_pool_oracle(x, g)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert t.grad.tobytes() == want_dx.tobytes()
 
 
 def test_max_pool_routes_grad_to_argmax_only():
     x = Tensor(np.array([[[1.0], [4.0], [2.0], [3.0]]]), requires_grad=True)
-    ad.backward(ad.tsum(ad.max_pool(x, 2)))
+    ad.backward(ad.tsum(ad.max_pool(x)))
     assert x.grad.ravel().tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
@@ -484,7 +498,7 @@ def _captured_input_cases():
         ("lstm list", [a(2, 5, 1), a(2, 5, 2), a(3, 8), a(2, 8), a(8)],
          lambda ts: ad.lstm(ts[:2], *ts[2:]), None),
         ("reverse_time", [a(2, 5, 3)], lambda ts: ad.reverse_time(ts[0]), None),
-        ("max_pool", [a(2, 6, 3)], lambda ts: ad.max_pool(ts[0], 2), None),
+        ("max_pool", [a(2, 6, 3)], lambda ts: ad.max_pool(ts[0]), None),
     ]
     return cases
 
@@ -592,7 +606,7 @@ def test_mixed_graph_end_to_end():
 
     def build(ts):
         cat = ad.concat([ts[0], ts[1]], axis=-1)
-        pooled = ad.max_pool(cat, 2)
+        pooled = ad.max_pool(cat)
         rev = ad.reverse_time(pooled)
         feat = ad.global_max_pool(rev)
         logits = ad.matmul(feat, ts[2])

@@ -6,8 +6,10 @@ so the full preprocess -> train -> eval chain runs in a couple of seconds.
 
 import contextlib
 import io
+import wave
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
@@ -219,6 +221,39 @@ def test_preprocess_unreadable_wav_mid_stream_leaves_no_artifacts(tmp_path):
     assert "syn0001.wav" in err
     assert not cache.exists()
     assert not (tmp_path / "prep" / "rejections.csv").exists()
+
+
+def _drop_label_field(manifest):
+    with open(manifest, "a") as fh:
+        fh.write("syn0009,wavs/syn0000.wav\n")
+    return "manifest.csv:5"
+
+
+def _cut_stereo_wav_inside_a_frame(manifest):
+    path = manifest.parent / "wavs" / "syn0001.wav"
+    with wave.open(str(path), "rb") as wav:
+        pcm = np.frombuffer(wav.readframes(wav.getnframes()), dtype="<i2")
+    with wave.open(str(path), "wb") as wav:
+        wav.setnchannels(2)
+        wav.setsampwidth(2)
+        wav.setframerate(4000)
+        wav.writeframes(np.repeat(pcm, 2).tobytes())
+    path.write_bytes(path.read_bytes()[:-3])
+    return "syn0001.wav"
+
+
+@pytest.mark.parametrize("damage", [_drop_label_field, _cut_stereo_wav_inside_a_frame])
+def test_preprocess_malformed_input_fails_with_data_code(tmp_path, damage):
+    manifest = write_wav_dataset(tmp_path / "data", 3, Rng(4), seconds=4.0)
+    where = damage(manifest)
+    cache = tmp_path / "segments.qivc"
+    rc, _, err = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                          "--outdir", tmp_path / "prep"])
+    assert rc == 3
+    assert err.startswith("error code=3 kind=data:")
+    assert where in err
+    assert not cache.exists()
+    assert not (tmp_path / "prep").exists()      # config.txt is removed too
 
 
 def test_eval_requires_a_checkpoint(pipeline, tmp_path):

@@ -155,6 +155,22 @@ def test_cache_empty_list_round_trips(tmp_path):
     assert load_segment_cache(path) == []
 
 
+def test_failed_write_keeps_earlier_cache(tmp_path):
+    class FailsAfterTwo(list):
+        def __iter__(self):
+            yield from list.__iter__(self[:2])
+            raise OSError("disk full")
+
+    path = tmp_path / "segments.bin"
+    save_segment_cache(path, _segments(3))
+    before = path.read_bytes()
+    with pytest.raises(OSError):
+        save_segment_cache(path, FailsAfterTwo(_segments(5)))
+    assert path.read_bytes() == before
+    assert len(load_segment_cache(path)) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["segments.bin"]
+
+
 def test_cache_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + bytes(20))

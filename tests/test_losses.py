@@ -190,20 +190,9 @@ def test_composite_uses_weights_in_effect_before_update():
     y = one_hot(np.array([0, 1]))
     p = np.array([[0.8, 0.2], [0.4, 0.6]])
     lw = LossWeights(w_cce=1.5, w_dice=0.5)
-    loss, cce_v, dice_v, _ = composite_loss(Tensor(p), y, lw)
+    loss, cce_v, dice_v = composite_loss(Tensor(p), y, lw)
     assert loss.data == pytest.approx(1.5 * cce_v + 0.5 * dice_v, rel=1e-12)
-    # the update still happened afterwards
-    assert lw.ema_cce == pytest.approx(cce_v)
-
-
-def test_composite_update_flag():
-    y = one_hot(np.array([0, 1]))
-    p = np.array([[0.8, 0.2], [0.4, 0.6]])
-    lw = LossWeights()
-    composite_loss(Tensor(p), y, lw, update_weights=False)
-    assert lw.ema_cce is None
-    composite_loss(Tensor(p), y, lw, update_weights=True)
-    assert lw.ema_cce is not None
+    assert lw.ema_cce is None           # the weights are only read
 
 
 def test_composite_rejects_non_probability_rows():
@@ -220,7 +209,7 @@ def test_composite_grad_flows_through_both_components():
     p = _probs(Rng(9).normal((4, 2)))
     lw = LossWeights(w_cce=1.2, w_dice=0.8)
     t = Tensor(p.copy(), requires_grad=True)
-    loss, _, _, _ = composite_loss(t, y, lw, update_weights=False)
+    loss, _, _ = composite_loss(t, y, lw)
     ad.backward(loss)
     # probe the unvalidated components: composite's row check rejects the
     # finite-difference perturbation itself

@@ -320,8 +320,7 @@ def test_training_graph_holds_only_what_backward_needs():
     net = QivcNet(cfg)
     x = Tensor(Rng(22).normal((4, 64, 1)))
     probs = net.forward(x, training=True, rng=Rng(23))
-    task, _, _, _ = composite_loss(probs, one_hot(np.array([0, 1, 0, 1])),
-                                   LossWeights(), update_weights=False)
+    task, _, _ = composite_loss(probs, one_hot(np.array([0, 1, 0, 1])), LossWeights())
     objective = total_loss(task, net.kl(), cfg.kl_scale)
     assert graph_bytes(objective) == 2_328_360
 
@@ -336,7 +335,7 @@ def test_network_gradients_match_finite_differences():
 
     def loss_value():
         probs = net.forward(Tensor(x), training=True, rng=Rng(17))
-        task, _, _, _ = composite_loss(probs, y, LossWeights(), update_weights=False)
+        task, _, _ = composite_loss(probs, y, LossWeights())
         return total_loss(task, net.kl(), cfg.kl_scale)
 
     loss = loss_value()
@@ -390,7 +389,7 @@ def test_relu_network_gradients_match_finite_differences(monkeypatch):
 
     def loss_value():
         probs = net.forward(Tensor(x), training=True, rng=Rng(18))
-        task, _, _, _ = composite_loss(probs, y, LossWeights(), update_weights=False)
+        task, _, _ = composite_loss(probs, y, LossWeights())
         return total_loss(task, net.kl(), cfg.kl_scale)
 
     loss = loss_value()

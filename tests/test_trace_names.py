@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` looks each layer up with ``getattr`` when it
 installs its wrappers, so a renamed or deleted function would crash every
 traced benchmark run.  This loads that file by path, without changing it,
-and resolves each of its names.
+and resolves each of its names.  Its wrappers are also rebound into module
+globals, ``autodiff.ACTIVATIONS`` and class attributes, so removing them
+must restore every original.
 """
 
 import importlib.util
@@ -29,3 +31,19 @@ def test_traced_names_resolve():
                 if not callable(getattr(tracing.autodiff, op, None))]
     assert missing == []
     assert tracing.FUNCTIONS and tracing.METHODS and tracing.AUTODIFF_GROUPS
+
+
+def test_instrument_then_remove_restores_every_binding():
+    from qivcnet import autodiff as ad
+    from qivcnet.network import QivcNet
+
+    tracing = _load_tracing()
+    originals = (ad.lstm, ad.backward, ad.ACTIVATIONS["relu"], QivcNet.forward)
+    remove = tracing.instrument(tracing.Tracer("guard"))
+    try:
+        wrapped = (ad.lstm, ad.backward, ad.ACTIVATIONS["relu"], QivcNet.forward)
+        assert all(w is not o for w, o in zip(wrapped, originals))
+    finally:
+        remove()
+    restored = (ad.lstm, ad.backward, ad.ACTIVATIONS["relu"], QivcNet.forward)
+    assert all(r is o for r, o in zip(restored, originals))
