@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +76,8 @@ def _echo_config(cfg: RunConfig, reg: ArtifactRegistry) -> Path:
     if not outdir.exists():
         reg.dir(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-    path = reg.file(outdir / "config.txt")
-    path.write_text(config_text(cfg))
+    dataio.publish(reg.file(outdir / "config.txt"),
+                   lambda tmp: tmp.write_text(config_text(cfg)))
     return outdir
 
 
@@ -151,7 +152,7 @@ def cmd_eval(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     for split_name in ("val", "test"):
         idx = meta[f"{split_name}_indices"]
         report = training.evaluate_segments(net, [segments[i] for i in idx], labels[idx])
-        rows.append((split_name,) + report.csv_row())
+        rows.append((split_name, *astuple(report)))
         print(f"{split_name}: acc={report.accuracy!r} f1={report.f1!r} auc={report.auc!r}")
     dataio.write_csv(reg.file(outdir / "eval_metrics.csv"),
                      ("split",) + MetricsReport.CSV_HEADER, rows)
@@ -167,7 +168,7 @@ def cmd_robustness(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
         rng = master.fork()
         noisy = [preprocess.inject_noise_snr(segments[i], snr, rng) for i in test_idx]
         report = training.evaluate_segments(net, noisy, labels[test_idx])
-        rows.append((float(snr),) + report.csv_row())
+        rows.append((snr, *astuple(report)))
         print(f"snr={snr!r}dB acc={report.accuracy!r} auc={report.auc!r}")
     dataio.write_csv(reg.file(outdir / "robustness.csv"),
                      ("snr_db",) + MetricsReport.CSV_HEADER, rows)
@@ -181,21 +182,20 @@ def cmd_calibrate(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     preds = probs.argmax(axis=1)
     bins = reliability_bins(labels[test_idx], preds, probs[:, 1])
     ece = expected_calibration_error(bins)
-    rows = [(float(bins.edges[i]), float(bins.edges[i + 1]), int(bins.counts[i]),
-             float(bins.mean_confidence[i]), float(bins.accuracy[i]))
-            for i in range(len(bins.counts))]
     dataio.write_csv(reg.file(outdir / "reliability.csv"),
-                     ("bin_low", "bin_high", "count", "mean_confidence", "accuracy"), rows)
+                     ("bin_low", "bin_high", "count", "mean_confidence", "accuracy"),
+                     zip(bins.edges[:-1], bins.edges[1:], bins.counts,
+                         bins.mean_confidence, bins.accuracy))
     dataio.write_csv(reg.file(outdir / "ece.csv"), ("count", "ece"),
-                     [(int(bins.counts.sum()), float(ece))])
+                     [(bins.counts.sum(), ece)])
     print(f"ece={ece!r} over {int(bins.counts.sum())} test segments")
 
 
 def cmd_noise_stats(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     stats = qire.noise_statistics(cfg.qire_config(), cfg.kernel_shape_tuple(),
                                   cfg.trials, Rng(cfg.seed))
-    dataio.write_csv(reg.file(outdir / "noise_stats.csv"),
-                     qire.NoiseStats.CSV_HEADER, [stats.csv_row()])
+    dataio.write_csv(reg.file(outdir / "noise_stats.csv"), qire.NoiseStats.CSV_HEADER,
+                     [[getattr(stats, name) for name in qire.NoiseStats.CSV_HEADER]])
     print(f"k={stats.k} p={stats.p!r} n={stats.n}: mean_norm={stats.mean_norm!r} "
           f"subspace_energy={stats.subspace_energy!r}")
 

@@ -96,20 +96,11 @@ class RunConfig:
                        qire=self.qire_config())
 
     def snr_values(self) -> "list[float]":
-        try:
-            values = [float(v) for v in self.snr_list.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad snr_list {self.snr_list!r}") from exc
-        if not values:
-            raise ConfigError("snr_list is empty")
-        return values
+        return _split(self.snr_list, ",", float, "snr_list")
 
     def kernel_shape_tuple(self) -> "tuple[int, ...]":
-        try:
-            shape = tuple(int(v) for v in self.kernel_shape.split("x") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad kernel_shape {self.kernel_shape!r}") from exc
-        if not shape or any(d < 1 for d in shape):
+        shape = tuple(_split(self.kernel_shape, "x", int, "kernel_shape"))
+        if any(d < 1 for d in shape):
             raise ConfigError(f"bad kernel_shape {self.kernel_shape!r}")
         return shape
 
@@ -125,23 +116,26 @@ def _derive(cls, cfg: RunConfig, **explicit):
     return cls(**shared, **explicit)
 
 
+def _split(text: str, sep: str, kind, what: str) -> list:
+    """The non-empty ``sep``-separated items of ``text``, each converted by
+    ``kind``; a ValueError from ``kind``, or no item at all, is a ConfigError."""
+    try:
+        items = [kind(item) for item in text.split(sep) if item.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {text!r}") from exc
+    if not items:
+        raise ConfigError(f"{what} {text!r} is empty")
+    return items
+
+
+def _block(spec: str) -> "tuple[int, int]":
+    filters, width = spec.split("x")  # ValueError unless exactly two pieces
+    return int(filters), int(width)
+
+
 def parse_blocks(text: str) -> "tuple[tuple[int, int], ...]":
     """Parse '16x7,32x7' into ((16, 7), (32, 7))."""
-    blocks = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split("x")
-        if len(pieces) != 2:
-            raise ConfigError(f"bad block spec {part!r}; expected FILTERSxWIDTH")
-        try:
-            blocks.append((int(pieces[0]), int(pieces[1])))
-        except ValueError as exc:
-            raise ConfigError(f"bad block spec {part!r}") from exc
-    if not blocks:
-        raise ConfigError(f"no blocks in {text!r}")
-    return tuple(blocks)
+    return tuple(_split(text, ",", _block, "FILTERSxWIDTH list"))
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,

@@ -25,7 +25,7 @@ import struct
 import sys
 import wave
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -76,12 +76,13 @@ def load_manifest(path: "str | Path") -> "list[tuple[str, Path, str]]":
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(
                 f"manifest {path} must have columns recording_id,relative_path,label")
-        for line, row in enumerate(reader, start=2):
-            if None in (row["recording_id"], row["relative_path"], row["label"]):
-                raise DataError(f"{path}:{line}: row has fewer than 3 fields")
+        for row in reader:
+            # DictReader keys extra fields by None and fills missing ones with None
+            if None in row or None in row.values():
+                raise DataError(f"{path}:{reader.line_num}: row fields do not match the header")
             label = row["label"].strip()
             if label not in LABELS:
-                raise DataError(f"{path}:{line}: unknown label {label!r}")
+                raise DataError(f"{path}:{reader.line_num}: unknown label {label!r}")
             rows.append((row["recording_id"].strip(),
                          path.parent / row["relative_path"].strip(), label))
     if not rows:
@@ -170,10 +171,15 @@ def load_segment_cache(path: "str | Path") -> "list[Segment]":
 
 
 def write_csv(path: "str | Path", header: "tuple[str, ...]",
-              rows: "list[tuple]") -> None:
-    """Write a headered CSV with deterministic float formatting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+              rows: "Iterable[Iterable]") -> None:
+    """Write a headered CSV through ``publish``; Python and numpy floats are
+    written as ``repr(float(v))``, every other value as ``str(v)``."""
+    def write(tmp: Path) -> None:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                                 else str(v) for v in row])
+
+    publish(path, write)

@@ -41,6 +41,16 @@ def householder_qr(m: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     return q, r
 
 
+def _gaussian_qr(n: int, k: int, rng: Rng) -> "tuple[np.ndarray, np.ndarray]":
+    """QR of an (n, k) Gaussian draw, drawn again while it is rank-deficient."""
+    for _ in range(_MAX_RESAMPLE):
+        try:
+            return householder_qr(rng.normal((n, k)))
+        except NumericalError:
+            continue
+    raise NumericalError(f"could not draw a full-rank ({n}, {k}) Gaussian matrix")
+
+
 def orthonormal_basis(n: int, k: int, rng: Rng) -> np.ndarray:
     """Random k-dimensional orthonormal basis in R^n from a Gaussian draw.
 
@@ -48,14 +58,7 @@ def orthonormal_basis(n: int, k: int, rng: Rng) -> np.ndarray:
     """
     if not 1 <= k <= n:
         raise ShapeError(f"need 1 <= k <= n, got k={k}, n={n}")
-    for _ in range(_MAX_RESAMPLE):
-        g = rng.normal((n, k))
-        try:
-            q, _ = householder_qr(g)
-        except NumericalError:
-            continue
-        return q
-    raise NumericalError(f"could not draw a full-rank ({n}, {k}) Gaussian matrix")
+    return _gaussian_qr(n, k, rng)[0]
 
 
 def haar_so(k: int, rng: Rng) -> np.ndarray:
@@ -68,16 +71,8 @@ def haar_so(k: int, rng: Rng) -> np.ndarray:
     """
     if k < 1:
         raise ShapeError(f"need k >= 1, got k={k}")
-    for _ in range(_MAX_RESAMPLE):
-        g = rng.normal((k, k))
-        try:
-            q, r = householder_qr(g)
-        except NumericalError:
-            continue
-        d = np.sign(np.diag(r))
-        u = q * d  # scales column j by d[j]
-        if np.linalg.det(u) < 0.0:
-            u = u.copy()
-            u[:, 0] = -u[:, 0]
-        return u
-    raise NumericalError(f"could not draw a full-rank ({k}, {k}) Gaussian matrix")
+    q, r = _gaussian_qr(k, k, rng)
+    u = q * np.sign(np.diag(r))  # a new array: column j scaled by sign(r_jj)
+    if np.linalg.det(u) < 0.0:
+        u[:, 0] = -u[:, 0]
+    return u

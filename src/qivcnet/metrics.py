@@ -36,11 +36,6 @@ class MetricsReport:
     CSV_HEADER = ("tp", "fp", "tn", "fn", "accuracy", "sensitivity",
                   "specificity", "f1", "auc", "ece")
 
-    def csv_row(self) -> "tuple[str, ...]":
-        return (str(self.tp), str(self.fp), str(self.tn), str(self.fn),
-                repr(self.accuracy), repr(self.sensitivity), repr(self.specificity),
-                repr(self.f1), repr(self.auc), repr(self.ece))
-
 
 @dataclass(frozen=True)
 class ReliabilityBins:

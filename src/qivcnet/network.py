@@ -182,27 +182,23 @@ def segments_to_batch(segments) -> np.ndarray:
     return np.stack([s.values for s in segments])[:, :, None]
 
 
+def _infer(forward, segments, batch: int) -> np.ndarray:
+    """``forward`` over the segments in batches, without a graph, joined on axis 0."""
+    with ad.no_grad():
+        outs = [forward(Tensor(segments_to_batch(segments[i: i + batch])), training=False).data
+                for i in range(0, len(segments), batch)]
+    return np.concatenate(outs, axis=0)
+
+
 def infer_probs(net: QivcNet, segments, batch: int = 64) -> np.ndarray:
     """Deterministic class probabilities (n, 2) for a list of segments."""
-    rows = []
-    with ad.no_grad():
-        for start in range(0, len(segments), batch):
-            chunk = segments[start: start + batch]
-            probs = net.forward(Tensor(segments_to_batch(chunk)), training=False)
-            rows.append(probs.data)
-    return np.concatenate(rows, axis=0)
+    return _infer(net.forward, segments, batch)
 
 
 def export_latent(net: QivcNet, segments, batch: int = 64) -> "list[tuple[str, str, float, float, float]]":
     """Rows of (segment id, label, first three bottleneck coordinates)."""
     if net.bottleneck_width < 3:
         raise ConfigError("bottleneck has fewer than 3 coordinates")
-    rows: "list[tuple[str, str, float, float, float]]" = []
-    with ad.no_grad():
-        for start in range(0, len(segments), batch):
-            chunk = segments[start: start + batch]
-            z = net.features(Tensor(segments_to_batch(chunk)), training=False).data
-            for seg, vec in zip(chunk, z):
-                seg_id = f"{seg.recording_id}:{seg.window_index}"
-                rows.append((seg_id, seg.label, float(vec[0]), float(vec[1]), float(vec[2])))
-    return rows
+    z = _infer(net.features, segments, batch)
+    return [(f"{seg.recording_id}:{seg.window_index}", seg.label, *map(float, vec[:3]))
+            for seg, vec in zip(segments, z)]

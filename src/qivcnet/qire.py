@@ -69,11 +69,6 @@ class NoiseStats:
     CSV_HEADER = ("k", "p", "n", "mean_norm", "norm_std",
                   "elem_mean", "elem_var", "subspace_energy")
 
-    def csv_row(self) -> "tuple[str, ...]":
-        return (str(self.k), repr(self.p), str(self.n),
-                repr(self.mean_norm), repr(self.norm_std), repr(self.elem_mean),
-                repr(self.elem_var), repr(self.subspace_energy))
-
 
 def _sample_flat(n: int, config: QireConfig, rng: Rng) -> "tuple[np.ndarray, np.ndarray]":
     """One flat draw of length n; returns (noise, subspace basis q)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -259,14 +259,9 @@ METRICS_CSV_HEADER = ("fold",) + MetricsReport.CSV_HEADER + ("best_val_f1", "bes
 
 def metrics_rows(results: "list[FoldResult]") -> "list[tuple]":
     """Per-fold metric rows plus a mean row when more than one fold ran."""
-    rows = [(r.fold,) + r.report.csv_row() + (repr(r.state.best_val_f1), str(r.state.best_epoch))
+    rows = [(r.fold, *astuple(r.report), r.state.best_val_f1, r.state.best_epoch)
             for r in results]
     if len(results) > 1:
-        reports = [r.report for r in results]
-        mean = ["mean"]
-        for name in MetricsReport.CSV_HEADER:
-            mean.append(repr(float(np.mean([getattr(rep, name) for rep in reports]))))
-        mean.append(repr(float(np.mean([r.state.best_val_f1 for r in results]))))
-        mean.append(repr(float(np.mean([r.state.best_epoch for r in results]))))
-        rows.append(tuple(mean))
+        columns = zip(*(row[1:] for row in rows))
+        rows.append(("mean", *(np.mean(column) for column in columns)))
     return rows

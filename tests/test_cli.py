@@ -229,6 +229,12 @@ def _drop_label_field(manifest):
     return "manifest.csv:5"
 
 
+def _add_extra_field(manifest):
+    with open(manifest, "a") as fh:
+        fh.write("syn0009,wavs/syn0000.wav,normal,extra\n")
+    return "manifest.csv:5"
+
+
 def _cut_stereo_wav_inside_a_frame(manifest):
     path = manifest.parent / "wavs" / "syn0001.wav"
     with wave.open(str(path), "rb") as wav:
@@ -242,7 +248,8 @@ def _cut_stereo_wav_inside_a_frame(manifest):
     return "syn0001.wav"
 
 
-@pytest.mark.parametrize("damage", [_drop_label_field, _cut_stereo_wav_inside_a_frame])
+@pytest.mark.parametrize("damage", [_drop_label_field, _add_extra_field,
+                                    _cut_stereo_wav_inside_a_frame])
 def test_preprocess_malformed_input_fails_with_data_code(tmp_path, damage):
     manifest = write_wav_dataset(tmp_path / "data", 3, Rng(4), seconds=4.0)
     where = damage(manifest)

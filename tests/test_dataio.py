@@ -117,6 +117,9 @@ def test_manifest_errors(tmp_path):
     p.write_text("recording_id,relative_path,label\n")
     with pytest.raises(DataError):
         load_manifest(p)  # no rows
+    p.write_text("recording_id,relative_path,label\n\nr1,a.wav,normal,extra\n")
+    with pytest.raises(DataError, match="m.csv:3"):
+        load_manifest(p)  # a field more than the header, named by its file line
 
 
 def test_manifest_missing_wav(tmp_path):
@@ -214,13 +217,30 @@ def test_cache_wrong_version(tmp_path):
 
 def test_write_csv_repr_floats(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ("name", "value"), [("a", 0.1), ("b", 2), ("c", 1.0 / 3.0)])
+    write_csv(path, ("name", "value"), [("a", 0.1), ("b", 2), ("c", 1.0 / 3.0),
+                                        ("d", np.float64(0.5)), ("e", np.int64(7))])
     text = path.read_text()
     assert text.splitlines()[0] == "name,value"
     assert "0.1" in text
     assert repr(1.0 / 3.0) in text
     # repr round-trips exactly
     assert float(text.splitlines()[3].split(",")[1]) == 1.0 / 3.0
+    # numpy scalars render like the Python numbers they hold
+    assert text.splitlines()[4:] == ["d,0.5", "e,7"]
+
+
+def test_failed_write_keeps_earlier_csv(tmp_path):
+    def fails_after_one():
+        yield ("a", 1.0)
+        raise OSError("disk full")
+
+    path = tmp_path / "out.csv"
+    write_csv(path, ("name", "value"), [("a", 1.0), ("b", 2.0)])
+    before = path.read_bytes()
+    with pytest.raises(OSError):
+        write_csv(path, ("name", "value"), fails_after_one())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_write_csv_deterministic(tmp_path):

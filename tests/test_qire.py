@@ -1,5 +1,7 @@
 """Structured-noise sampler properties checked against closed-form algebra."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,11 +122,8 @@ def test_noise_statistics_full_space_energy_is_one():
 
 
 def test_noise_statistics_csv_row_matches_header():
-    cfg = QireConfig(k=2, p=0.1)
-    stats = noise_statistics(cfg, (8,), trials=20, rng=Rng(3))
-    row = stats.csv_row()
-    assert len(row) == len(NoiseStats.CSV_HEADER)
-    assert float(row[NoiseStats.CSV_HEADER.index("k")]) == 2
+    # the noise-stats command reads its row from the stats by these names
+    assert set(NoiseStats.CSV_HEADER) <= {f.name for f in fields(NoiseStats)}
 
 
 @settings(max_examples=25, deadline=None)
