@@ -40,7 +40,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import expit as _expit
 
 from .errors import GraphError, NumericalError, ShapeError
 
@@ -269,8 +268,13 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), back)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) to within a few ulps in both tails, with no overflow."""
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    data = _expit(a.data)
+    data = _sigmoid(a.data)
 
     def back(g):
         _accumulate(a, g * data * (1.0 - data))
@@ -307,7 +311,7 @@ def softplus(a: Tensor) -> Tensor:
     data = np.logaddexp(0.0, va)
 
     def back(g):
-        _accumulate(a, g * _expit(va))
+        _accumulate(a, g * _sigmoid(va))
 
     return _make(data, (a,), back)
 

@@ -29,8 +29,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import dataio, network, preprocess, qire, training
 from .config import FIELD_KINDS, RunConfig, _convert, config_text, resolve_config
-from .errors import (ConfigError, DataError, GraphError, NumericalError,
-                     QivcError, ShapeError)
+from .errors import ConfigError, DataError, QivcError, ShapeError
 from .folds import segment_labels, stratified_kfold
 from .metrics import MetricsReport, expected_calibration_error, reliability_bins
 from .rng import Rng
@@ -255,15 +254,11 @@ def main(argv: "list[str] | None" = None) -> int:
         outdir = _echo_config(cfg, reg)
         COMMANDS[args.command](cfg, reg, outdir)
         return EXIT_OK
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", exc, reg)
-    except ShapeError as exc:
+    except (ConfigError, ShapeError) as exc:
         return _fail(EXIT_CONFIG, "config", exc, reg)
     except DataError as exc:
         return _fail(EXIT_DATA, "data", exc, reg)
-    except (NumericalError, GraphError) as exc:
-        return _fail(EXIT_NUMERICAL, "numerical", exc, reg)
-    except QivcError as exc:  # pragma: no cover - safety net
+    except QivcError as exc:
         return _fail(EXIT_NUMERICAL, "numerical", exc, reg)
 
 

@@ -13,7 +13,8 @@ window on its own with ``np.interp``.
 The band-pass is realized as cascaded second-order sections obtained from
 the analytic Butterworth prototype through the bilinear transform with
 pre-warped corner frequencies; applying it forward and backward squares
-the magnitude response and cancels the phase.
+the magnitude response and cancels the phase.  scipy is loaded on the first
+filter design or filtering call, so nothing else in the package imports it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import DataError
 from .rng import Rng
@@ -80,6 +80,8 @@ class RejectedWindow:
 
 @functools.lru_cache(maxsize=16)
 def _sos_design(sample_rate: float) -> np.ndarray:
+    from scipy import signal
+
     sos = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
                         btype="bandpass", fs=sample_rate, output="sos")
     sos.flags.writeable = False
@@ -105,6 +107,8 @@ def bandpass(rec: Recording) -> Recording:
         raise DataError(
             f"recording {rec.id}: too short to filter ({len(rec.samples)} samples, "
             f"need > {PAD_LEN})")
+    from scipy import signal
+
     sos = butter_bandpass_sos(rec.sample_rate)
     filtered = signal.sosfiltfilt(sos, rec.samples, padtype="odd", padlen=PAD_LEN)
     return Recording(samples=filtered, sample_rate=rec.sample_rate,

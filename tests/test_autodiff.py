@@ -1,5 +1,7 @@
 """Gradient engine: every op against central differences and value oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -40,6 +42,24 @@ def test_activation_grads():
     gradcheck(lambda ts: ad.tsum(ad.sigmoid(ts[0])), [x.copy()])
     gradcheck(lambda ts: ad.tsum(ad.exp(ts[0] * 0.3)), [x.copy()])
     gradcheck(lambda ts: ad.tsum(ad.softplus(ts[0])), [x.copy()])
+
+
+def test_sigmoid_matches_expit_in_both_tails():
+    # sigmoid's forward and softplus's backward both compute 1 / (1 + e^-x);
+    # the tails matter because KL gradients flow through small softplus slopes
+    x = np.concatenate([np.linspace(-700.0, 700.0, 2801),
+                        np.random.default_rng(7).normal(size=500) * 10.0])
+    want = expit(x)
+    xt = Tensor(x.copy(), requires_grad=True)
+    ad.backward(ad.tsum(ad.softplus(xt)))
+    for got in (ad.sigmoid(Tensor(x)).data, xt.grad):
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = Tensor(np.array([-800.0, 800.0]), requires_grad=True)
+        ad.backward(ad.tsum(ad.softplus(edge)))
+        assert ad.sigmoid(Tensor(edge.data)).data.tolist() == [0.0, 1.0]
+        assert edge.grad.tolist() == [0.0, 1.0]
 
 
 def test_relu_grads_of_a_sum_do_not_alias():

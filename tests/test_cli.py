@@ -203,6 +203,17 @@ def test_invalid_flag_value_fails_with_config_code(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_numerical_failure_exits_4_and_leaves_no_artifacts(pipeline, tmp_path):
+    rc, _, err = run_cli(["train", "--cache", pipeline["cache"],
+                          "--outdir", tmp_path / "run", *TRAIN_FLAGS,
+                          "--lr", "1e300", "--batch", "2"])
+    assert rc == 4
+    assert err.startswith("error code=4 kind=numerical:")
+    assert not (tmp_path / "run").exists()
+
+
 def test_preprocess_requires_a_manifest(tmp_path):
     rc, _, err = run_cli(["preprocess", "--cache", tmp_path / "c.qivc",
                           "--outdir", tmp_path / "prep"])
