@@ -12,14 +12,15 @@ Subcommands::
 
 Every command resolves its configuration as defaults <- ``--config`` file
 <- explicit flags, validates it before doing any work, echoes the resolved
-form to ``<outdir>/config.txt``, and on failure removes the artifacts it
-created and prints a one-line machine-parsable reason.  Exit codes:
+form to ``<outdir>/config.txt``, and on failure removes the directories it
+made for the outdir and prints a one-line machine-parsable reason.  Exit codes:
 0 success, 2 configuration error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -38,46 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-class ArtifactRegistry:
-    """Tracks files created by a command so failures leave no partial output."""
-
-    def __init__(self) -> None:
-        self.files: "list[Path]" = []
-        self.dirs: "list[Path]" = []
-
-    def file(self, path: "str | Path") -> Path:
-        path = Path(path)
-        self.files.append(path)
-        return path
-
-    def dir(self, path: "str | Path") -> Path:
-        path = Path(path)
-        self.dirs.append(path)
-        return path
-
-    def cleanup(self) -> None:
-        for path in self.files:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-        for path in reversed(self.dirs):
-            try:
-                path.rmdir()
-            except OSError:
-                pass  # not empty or never created
-
-
-def _echo_config(cfg: RunConfig, reg: ArtifactRegistry) -> Path:
-    outdir = Path(cfg.outdir)
-    if not outdir.exists():
-        reg.dir(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-    dataio.publish(reg.file(outdir / "config.txt"),
-                   lambda tmp: tmp.write_text(config_text(cfg)))
-    return outdir
 
 
 def _load_cache(cfg: RunConfig):
@@ -107,7 +68,7 @@ def _load_net(cfg: RunConfig, segments):
     return net, meta
 
 
-def cmd_preprocess(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
+def cmd_preprocess(cfg: RunConfig, outdir: Path) -> None:
     if not cfg.manifest:
         raise ConfigError("preprocess needs --manifest")
     segments = []
@@ -120,31 +81,27 @@ def cmd_preprocess(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
         n_recordings += 1
     if not segments:
         raise DataError("no segments survived preprocessing")
-    dataio.save_segment_cache(reg.file(cfg.cache), segments)
-    dataio.write_csv(reg.file(outdir / "rejections.csv"),
+    dataio.save_segment_cache(cfg.cache, segments)
+    dataio.write_csv(outdir / "rejections.csv",
                      ("recording_id", "window_index", "reason"),
                      [(r.recording_id, r.window_index, r.reason) for r in rejected])
     print(f"cached {len(segments)} segments from {n_recordings} recordings "
           f"({len(rejected)} windows rejected) -> {cfg.cache}")
 
 
-def cmd_train(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
+def cmd_train(cfg: RunConfig, outdir: Path) -> None:
     segments, _ = _load_cache(cfg)
     split = stratified_kfold(segments, k=cfg.folds, seed=cfg.seed,
                              group_by_recording=cfg.group_by_recording)
-    for i in training.fold_indices(split, cfg.fold_index):
-        fold_dir = reg.dir(outdir / f"fold{i}")
-        reg.file(fold_dir / "checkpoint.bin")
-        reg.file(fold_dir / "train_log.csv")
     results = training.train(segments, split, cfg, outdir)
-    dataio.write_csv(reg.file(outdir / "metrics.csv"), training.METRICS_CSV_HEADER,
+    dataio.write_csv(outdir / "metrics.csv", training.METRICS_CSV_HEADER,
                      training.metrics_rows(results))
     for r in results:
         print(f"fold {r.fold}: epochs={r.state.epoch} best_val_f1={r.state.best_val_f1!r} "
               f"test_acc={r.report.accuracy!r} test_f1={r.report.f1!r}")
 
 
-def cmd_eval(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
+def cmd_eval(cfg: RunConfig, outdir: Path) -> None:
     segments, labels = _load_cache(cfg)
     net, meta = _load_net(cfg, segments)
     rows = []
@@ -153,11 +110,11 @@ def cmd_eval(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
         report = training.evaluate_segments(net, [segments[i] for i in idx], labels[idx])
         rows.append((split_name, *astuple(report)))
         print(f"{split_name}: acc={report.accuracy!r} f1={report.f1!r} auc={report.auc!r}")
-    dataio.write_csv(reg.file(outdir / "eval_metrics.csv"),
+    dataio.write_csv(outdir / "eval_metrics.csv",
                      ("split",) + MetricsReport.CSV_HEADER, rows)
 
 
-def cmd_robustness(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
+def cmd_robustness(cfg: RunConfig, outdir: Path) -> None:
     segments, labels = _load_cache(cfg)
     net, meta = _load_net(cfg, segments)
     test_idx = meta["test_indices"]
@@ -169,11 +126,11 @@ def cmd_robustness(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
         report = training.evaluate_segments(net, noisy, labels[test_idx])
         rows.append((snr, *astuple(report)))
         print(f"snr={snr!r}dB acc={report.accuracy!r} auc={report.auc!r}")
-    dataio.write_csv(reg.file(outdir / "robustness.csv"),
+    dataio.write_csv(outdir / "robustness.csv",
                      ("snr_db",) + MetricsReport.CSV_HEADER, rows)
 
 
-def cmd_calibrate(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
+def cmd_calibrate(cfg: RunConfig, outdir: Path) -> None:
     segments, labels = _load_cache(cfg)
     net, meta = _load_net(cfg, segments)
     test_idx = meta["test_indices"]
@@ -181,29 +138,29 @@ def cmd_calibrate(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
     preds = probs.argmax(axis=1)
     bins = reliability_bins(labels[test_idx], preds, probs[:, 1])
     ece = expected_calibration_error(bins)
-    dataio.write_csv(reg.file(outdir / "reliability.csv"),
+    dataio.write_csv(outdir / "reliability.csv",
                      ("bin_low", "bin_high", "count", "mean_confidence", "accuracy"),
                      zip(bins.edges[:-1], bins.edges[1:], bins.counts,
                          bins.mean_confidence, bins.accuracy))
-    dataio.write_csv(reg.file(outdir / "ece.csv"), ("count", "ece"),
+    dataio.write_csv(outdir / "ece.csv", ("count", "ece"),
                      [(bins.counts.sum(), ece)])
     print(f"ece={ece!r} over {int(bins.counts.sum())} test segments")
 
 
-def cmd_noise_stats(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
+def cmd_noise_stats(cfg: RunConfig, outdir: Path) -> None:
     stats = qire.noise_statistics(cfg.qire_config(), cfg.kernel_shape_tuple(),
                                   cfg.trials, Rng(cfg.seed))
-    dataio.write_csv(reg.file(outdir / "noise_stats.csv"), qire.NoiseStats.CSV_HEADER,
+    dataio.write_csv(outdir / "noise_stats.csv", qire.NoiseStats.CSV_HEADER,
                      [[getattr(stats, name) for name in qire.NoiseStats.CSV_HEADER]])
     print(f"k={stats.k} p={stats.p!r} n={stats.n}: mean_norm={stats.mean_norm!r} "
           f"subspace_energy={stats.subspace_energy!r}")
 
 
-def cmd_export_latent(cfg: RunConfig, reg: ArtifactRegistry, outdir: Path) -> None:
+def cmd_export_latent(cfg: RunConfig, outdir: Path) -> None:
     segments, _ = _load_cache(cfg)
     net, _ = _load_net(cfg, segments)
     rows = network.export_latent(net, segments)
-    dataio.write_csv(reg.file(outdir / "latent.csv"),
+    dataio.write_csv(outdir / "latent.csv",
                      ("segment_id", "label", "z1", "z2", "z3"), rows)
     print(f"exported {len(rows)} bottleneck rows")
 
@@ -227,39 +184,44 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        for name, kind in FIELD_KINDS.items():
-            flag = "--" + name.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, default=None, metavar="BOOL",
-                               type=lambda raw, n=name: _convert(n, bool, raw))
-            else:
-                p.add_argument(flag, default=None, type=kind)
+        for field in FIELD_KINDS:  # raw strings; main converts them like file values
+            p.add_argument("--" + field.replace("_", "-"), default=None)
     return parser
 
 
-def _fail(code: int, kind: str, exc: Exception, reg: "ArtifactRegistry | None") -> int:
-    if reg is not None:
-        reg.cleanup()
+def _fail(code: int, kind: str, exc: Exception, created: "Path | None") -> int:
+    if created is not None:
+        shutil.rmtree(created, ignore_errors=True)
     reason = " ".join(str(exc).split())
     print(f"error code={code} kind={kind}: {reason}", file=sys.stderr)
     return code
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one command. A failure removes only directories this command made;
+    every artifact is published whole, so none is ever partial."""
     args = _build_parser().parse_args(argv)
-    overrides = {name: getattr(args, name) for name in FIELD_KINDS}
-    reg = ArtifactRegistry()
+    created = None
     try:
-        cfg = resolve_config(args.config, overrides)
-        outdir = _echo_config(cfg, reg)
-        COMMANDS[args.command](cfg, reg, outdir)
+        flags = {name: _convert(name, kind, raw) for name, kind in FIELD_KINDS.items()
+                 if (raw := getattr(args, name)) is not None}
+        cfg = resolve_config(args.config, flags)
+        outdir = Path(cfg.outdir)
+        # the topmost directory that mkdir makes is the one a failure removes
+        created = next((d for d in (*reversed(outdir.parents), outdir) if not d.exists()), None)
+        outdir.mkdir(parents=True, exist_ok=True)
+        dataio.publish(outdir / "config.txt", lambda tmp: tmp.write_text(config_text(cfg)))
+        # the finite checks raise NumericalError, so numpy's warnings add nothing;
+        # --jobs workers fork inside this scope and inherit it
+        with np.errstate(all="ignore"):
+            COMMANDS[args.command](cfg, outdir)
         return EXIT_OK
     except (ConfigError, ShapeError) as exc:
-        return _fail(EXIT_CONFIG, "config", exc, reg)
+        return _fail(EXIT_CONFIG, "config", exc, created)
     except DataError as exc:
-        return _fail(EXIT_DATA, "data", exc, reg)
+        return _fail(EXIT_DATA, "data", exc, created)
     except QivcError as exc:
-        return _fail(EXIT_NUMERICAL, "numerical", exc, reg)
+        return _fail(EXIT_NUMERICAL, "numerical", exc, created)
 
 
 if __name__ == "__main__":  # pragma: no cover

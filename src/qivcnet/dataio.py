@@ -46,13 +46,18 @@ def read_wav(path: "str | Path") -> "tuple[np.ndarray, float]":
             channels = wav.getnchannels()
             width = wav.getsampwidth()
             rate = wav.getframerate()
-            frames = wav.readframes(wav.getnframes())
+            declared = wav.getnframes()
+            frames = wav.readframes(declared)
     except (wave.Error, EOFError) as exc:
         raise DataError(f"unreadable WAV file {path}: {exc}") from exc
     if width != 2:
         raise DataError(f"{path}: expected 16-bit PCM, got sample width {width}")
     if len(frames) % (width * channels):
         raise DataError(f"{path}: WAV data ends inside a frame")
+    present = len(frames) // (width * channels)
+    if present < declared:  # streaming writers can leave a placeholder size
+        print(f"warning: {path} holds {present} of the {declared} frames its header declares",
+              file=sys.stderr)
     data = np.frombuffer(frames, dtype="<i2")
     if channels > 1:
         print(f"warning: {path} has {channels} channels; using channel 0",

@@ -5,7 +5,11 @@ so the full preprocess -> train -> eval chain runs in a couple of seconds.
 """
 
 import contextlib
+import hashlib
 import io
+import os
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
@@ -195,6 +199,16 @@ def test_missing_cache_fails_with_data_code(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_failure_removes_the_parent_dirs_it_made(tmp_path):
+    (tmp_path / "kept").mkdir()
+    for outdir in (tmp_path / "new" / "deep" / "run", tmp_path / "kept" / "run"):
+        rc, _, _ = run_cli(["train", "--cache", tmp_path / "nope.qivc",
+                            "--outdir", outdir, *TRAIN_FLAGS])
+        assert rc == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
 def test_invalid_flag_value_fails_with_config_code(tmp_path):
     rc, _, err = run_cli(["train", "--cache", tmp_path / "nope.qivc",
                           "--outdir", tmp_path / "run", "--k", "0"])
@@ -203,8 +217,7 @@ def test_invalid_flag_value_fails_with_config_code(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_failure_exits_4_and_leaves_no_artifacts(pipeline, tmp_path):
     rc, _, err = run_cli(["train", "--cache", pipeline["cache"],
                           "--outdir", tmp_path / "run", *TRAIN_FLAGS,
@@ -212,6 +225,53 @@ def test_numerical_failure_exits_4_and_leaves_no_artifacts(pipeline, tmp_path):
     assert rc == 4
     assert err.startswith("error code=4 kind=numerical:")
     assert not (tmp_path / "run").exists()
+
+
+def _hashes(root):
+    """sha256 of every file under ``root`` except the config echo."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file() and p.name != "config.txt"}
+
+
+def test_failed_rerun_keeps_the_earlier_run(pipeline, tmp_path):
+    run = ["train", "--cache", pipeline["cache"], "--outdir", tmp_path / "run", *TRAIN_FLAGS]
+    rc, _, _ = run_cli(run)
+    assert rc == 0
+    before = _hashes(tmp_path / "run")
+    assert len(before) == 7  # metrics.csv + 3 folds x (checkpoint.bin, train_log.csv)
+    rc, _, _ = run_cli([*run, "--lr", "1e300", "--batch", "2"])
+    assert rc == 4
+    assert _hashes(tmp_path / "run") == before
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--pool-between", "maybe", "pool_between"),
+    ("--epochs", "abc", "epochs"),
+    ("--lr", "fast", "lr"),
+])
+def test_bad_flag_value_is_a_config_error(tmp_path, flag, value, field):
+    rc, _, err = run_cli(["train", "--outdir", tmp_path / "run", flag, value])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:")
+    assert err.count("\n") == 1
+    assert field in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_console_failures_print_one_line_and_leave_no_outdir(pipeline, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    runs = [(["--pool-between", "maybe"], 2),
+            (["--cache", pipeline["cache"], *TRAIN_FLAGS,
+              "--jobs", "2", "--lr", "1e300", "--batch", "2"], 4)]
+    for i, (flags, code) in enumerate(runs):
+        outdir = tmp_path / f"run{i}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qivcnet", "train", *map(str, flags), "--outdir", str(outdir)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(f"error code={code} ")
+        assert not outdir.exists()
 
 
 def test_preprocess_requires_a_manifest(tmp_path):

@@ -60,6 +60,19 @@ def test_wav_stereo_uses_first_channel(tmp_path, capsys):
     assert "channel 0" in capsys.readouterr().err
 
 
+def test_wav_shorter_than_its_header_loads_with_a_warning(tmp_path, capsys):
+    path = tmp_path / "short.wav"
+    _write_wav(path, np.linspace(-0.5, 0.5, 4000))
+    samples, _ = read_wav(path)
+    assert len(samples) == 4000
+    assert capsys.readouterr().err == ""
+    path.write_bytes(path.read_bytes()[:-2000])  # 1000 whole frames gone
+    samples, _ = read_wav(path)
+    assert len(samples) == 3000
+    assert capsys.readouterr().err == (
+        f"warning: {path} holds 3000 of the 4000 frames its header declares\n")
+
+
 def test_wav_missing_and_garbage(tmp_path):
     with pytest.raises(DataError):
         read_wav(tmp_path / "nope.wav")
