@@ -12,8 +12,8 @@ Subcommands::
 
 Every command resolves its configuration as defaults <- ``--config`` file
 <- explicit flags, validates it before doing any work, echoes the resolved
-form to ``<outdir>/config.txt``, and on failure removes the directories it
-made for the outdir and prints a one-line machine-parsable reason.  Exit codes:
+form to ``<outdir>/config.txt`` once it succeeds, and on failure removes the
+outdir if it made it and prints a one-line machine-parsable reason.  Exit codes:
 0 success, 2 configuration error, 3 data error, 4 numerical failure.
 """
 
@@ -198,8 +198,8 @@ def _fail(code: int, kind: str, exc: Exception, created: "Path | None") -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """Run one command. A failure removes only directories this command made;
-    every artifact is published whole, so none is ever partial."""
+    """Run one command. A failure removes the outdir only if this command made
+    it; every artifact is published whole, so none is ever partial."""
     args = _build_parser().parse_args(argv)
     created = None
     try:
@@ -207,14 +207,13 @@ def main(argv: "list[str] | None" = None) -> int:
                  if (raw := getattr(args, name)) is not None}
         cfg = resolve_config(args.config, flags)
         outdir = Path(cfg.outdir)
-        # the topmost directory that mkdir makes is the one a failure removes
-        created = next((d for d in (*reversed(outdir.parents), outdir) if not d.exists()), None)
+        created = None if outdir.exists() else outdir
         outdir.mkdir(parents=True, exist_ok=True)
-        dataio.publish(outdir / "config.txt", lambda tmp: tmp.write_text(config_text(cfg)))
         # the finite checks raise NumericalError, so numpy's warnings add nothing;
-        # --jobs workers fork inside this scope and inherit it
+        # training.train hands this error state to its --jobs workers
         with np.errstate(all="ignore"):
             COMMANDS[args.command](cfg, outdir)
+        dataio.publish(outdir / "config.txt", lambda tmp: tmp.write_text(config_text(cfg)))
         return EXIT_OK
     except (ConfigError, ShapeError) as exc:
         return _fail(EXIT_CONFIG, "config", exc, created)

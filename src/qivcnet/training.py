@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +250,9 @@ def train(segments, split: FoldSplit, cfg: RunConfig,
               cfg, fold_rngs[i], outdir / f"fold{i}")
              for i in fold_indices(split, cfg.fold_index)]
     if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
+        # workers that are spawned rather than forked get numpy's error state here
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks)),
+                                 initializer=partial(np.seterr, **np.geterr())) as pool:
             return list(pool.map(_fold_job, tasks))
     return [_fold_job(t) for t in tasks]
 

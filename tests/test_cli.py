@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qivcnet import cli
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
 from qivcnet.cli import main
+from qivcnet.errors import NumericalError
 from qivcnet.rng import Rng
 from qivcnet.synthetic import write_wav_dataset
 
@@ -199,14 +201,19 @@ def test_missing_cache_fails_with_data_code(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_failure_removes_the_parent_dirs_it_made(tmp_path):
-    (tmp_path / "kept").mkdir()
-    for outdir in (tmp_path / "new" / "deep" / "run", tmp_path / "kept" / "run"):
-        rc, _, _ = run_cli(["train", "--cache", tmp_path / "nope.qivc",
-                            "--outdir", outdir, *TRAIN_FLAGS])
-        assert rc == 3
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
-    assert list((tmp_path / "kept").iterdir()) == []
+def test_failure_removes_only_the_outdir_it_made(tmp_path, monkeypatch):
+    shared = tmp_path / "results"
+
+    def sibling_finishes_then_fail(cfg, outdir):
+        (shared / "b").mkdir()
+        (shared / "b" / "metrics.csv").write_text("done\n")
+        raise NumericalError("blew up")
+
+    monkeypatch.setitem(cli.COMMANDS, "train", sibling_finishes_then_fail)
+    rc, _, _ = run_cli(["train", "--outdir", shared / "a"])
+    assert rc == 4
+    assert sorted(p.name for p in shared.iterdir()) == ["b"]
+    assert (shared / "b" / "metrics.csv").read_text() == "done\n"
 
 
 def test_invalid_flag_value_fails_with_config_code(tmp_path):
@@ -228,9 +235,9 @@ def test_numerical_failure_exits_4_and_leaves_no_artifacts(pipeline, tmp_path):
 
 
 def _hashes(root):
-    """sha256 of every file under ``root`` except the config echo."""
+    """sha256 of every file under ``root``."""
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in root.rglob("*") if p.is_file() and p.name != "config.txt"}
+            for p in root.rglob("*") if p.is_file()}
 
 
 def test_failed_rerun_keeps_the_earlier_run(pipeline, tmp_path):
@@ -238,7 +245,7 @@ def test_failed_rerun_keeps_the_earlier_run(pipeline, tmp_path):
     rc, _, _ = run_cli(run)
     assert rc == 0
     before = _hashes(tmp_path / "run")
-    assert len(before) == 7  # metrics.csv + 3 folds x (checkpoint.bin, train_log.csv)
+    assert len(before) == 8  # config.txt, metrics.csv, 3 folds x (checkpoint.bin, train_log.csv)
     rc, _, _ = run_cli([*run, "--lr", "1e300", "--batch", "2"])
     assert rc == 4
     assert _hashes(tmp_path / "run") == before
@@ -258,15 +265,22 @@ def test_bad_flag_value_is_a_config_error(tmp_path, flag, value, field):
     assert not (tmp_path / "run").exists()
 
 
+# spawned pool workers start with numpy's default error state, not a forked copy
+SPAWN_MAIN = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
+              "from qivcnet.cli import main; sys.exit(main())")
+
+
 def test_console_failures_print_one_line_and_leave_no_outdir(pipeline, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    runs = [(["--pool-between", "maybe"], 2),
-            (["--cache", pipeline["cache"], *TRAIN_FLAGS,
-              "--jobs", "2", "--lr", "1e300", "--batch", "2"], 4)]
-    for i, (flags, code) in enumerate(runs):
+    blow_up = ["--cache", pipeline["cache"], *TRAIN_FLAGS,
+               "--jobs", "2", "--lr", "1e300", "--batch", "2"]
+    runs = [(["-m", "qivcnet"], ["--pool-between", "maybe"], 2),
+            (["-m", "qivcnet"], blow_up, 4),
+            (["-c", SPAWN_MAIN], blow_up, 4)]
+    for i, (entry, flags, code) in enumerate(runs):
         outdir = tmp_path / f"run{i}"
         proc = subprocess.run(
-            [sys.executable, "-m", "qivcnet", "train", *map(str, flags), "--outdir", str(outdir)],
+            [sys.executable, *entry, "train", *map(str, flags), "--outdir", str(outdir)],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
