@@ -71,21 +71,26 @@ def _load_net(cfg: RunConfig, segments):
 def cmd_preprocess(cfg: RunConfig, outdir: Path) -> None:
     if not cfg.manifest:
         raise ConfigError("preprocess needs --manifest")
-    segments = []
-    rejected = []
-    n_recordings = 0
-    for rec in dataio.iter_recordings(cfg.manifest):
-        segs, rej = preprocess.preprocess_recording(rec)
-        segments.extend(segs)
-        rejected.extend(rej)
-        n_recordings += 1
-    if not segments:
-        raise DataError("no segments survived preprocessing")
-    dataio.save_segment_cache(cfg.cache, segments)
+    if not Path(cfg.cache).parent.is_dir():
+        raise ConfigError(f"the directory of --cache {cfg.cache} does not exist")
+    rejected, n_recordings = [], 0
+
+    def kept_segments():
+        nonlocal n_recordings
+        n_kept = 0
+        for n_recordings, rec in enumerate(dataio.iter_recordings(cfg.manifest), 1):
+            segs, rej = preprocess.preprocess_recording(rec)
+            rejected.extend(rej)
+            n_kept += len(segs)
+            yield from segs
+        if not n_kept:  # raised inside the write, so any earlier cache stays
+            raise DataError("no segments survived preprocessing")
+
+    n_segments = dataio.save_segment_cache(cfg.cache, kept_segments())
     dataio.write_csv(outdir / "rejections.csv",
                      ("recording_id", "window_index", "reason"),
                      [(r.recording_id, r.window_index, r.reason) for r in rejected])
-    print(f"cached {len(segments)} segments from {n_recordings} recordings "
+    print(f"cached {n_segments} segments from {n_recordings} recordings "
           f"({len(rejected)} windows rejected) -> {cfg.cache}")
 
 

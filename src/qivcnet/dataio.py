@@ -107,71 +107,79 @@ def iter_recordings(manifest_path: "str | Path") -> "Iterator[Recording]":
         yield Recording(samples=samples, sample_rate=rate, id=rec_id, label=label)
 
 
-def publish(path: "str | Path", write: "Callable[[Path], object]") -> None:
+def publish(path: "str | Path", write: "Callable[[Path], object]"):
     """Call ``write`` on a temporary file beside ``path``, then move it over
     ``path``, so a failure or kill during the write leaves any earlier file
-    intact."""
+    intact.  Returns what ``write`` returned."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        write(tmp)
+        result = write(tmp)
         os.replace(tmp, path)
+        return result
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def save_segment_cache(path: "str | Path", segments: "list[Segment]") -> None:
-    """Stream the segments to a new cache file that then replaces ``path``."""
-    def write(tmp: Path) -> None:
+def save_segment_cache(path: "str | Path", segments: "Iterable[Segment]") -> int:
+    """Write each segment as it arrives to a new cache file that then replaces
+    ``path``; the header's count is patched in at the end.  Returns the count."""
+    def write(tmp: Path) -> int:
+        count = 0
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<HII2x", CACHE_VERSION, len(segments), SEGMENT_LENGTH))
-            for seg in segments:
+            fh.write(struct.pack("<HII2x", CACHE_VERSION, 0, SEGMENT_LENGTH))
+            for count, seg in enumerate(segments, 1):
                 rec_id = seg.recording_id.encode("utf-8")
                 fh.write(struct.pack("<BH", LABEL_TO_INT[seg.label], len(rec_id)))
                 fh.write(rec_id)
                 fh.write(struct.pack("<I", seg.window_index))
                 fh.write(seg.values.astype("<f4").tobytes())
+            fh.seek(6)
+            fh.write(struct.pack("<I", count))
+        return count
 
-    publish(path, write)
+    return publish(path, write)
 
 
 def load_segment_cache(path: "str | Path") -> "list[Segment]":
+    """Read the cache into one (count, 2000) float32 array; each segment's
+    ``values`` is a row of it."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"missing segment cache: {path}")
-    blob = path.read_bytes()
-    if len(blob) < 16 or blob[:4] != CACHE_MAGIC:
-        raise DataError(f"{path}: not a segment cache (bad magic)")
-    version, count, length = struct.unpack_from("<HII", blob, 4)
-    if version != CACHE_VERSION:
-        raise DataError(f"{path}: unsupported cache version {version}")
-    if length != SEGMENT_LENGTH:
-        raise DataError(f"{path}: unexpected segment length {length}")
-    segments: "list[Segment]" = []
-    offset = 16
     int_to_label = {v: k for k, v in LABEL_TO_INT.items()}
-    try:
-        for _ in range(count):
-            label_int, id_len = struct.unpack_from("<BH", blob, offset)
-            offset += 3
-            rec_id = blob[offset: offset + id_len].decode("utf-8")
-            offset += id_len
-            (window_index,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            values = np.frombuffer(blob, dtype="<f4", count=length, offset=offset)
-            offset += 4 * length
-            if label_int not in int_to_label:
-                raise DataError(f"{path}: bad label byte {label_int}")
-            segments.append(Segment(values=values.astype(np.float64),
-                                    label=int_to_label[label_int],
-                                    recording_id=rec_id, window_index=window_index))
-    except (struct.error, ValueError) as exc:
-        # ValueError: a frombuffer read ran past the end of the blob
-        raise DataError(f"{path}: truncated segment cache") from exc
-    if offset != len(blob):
-        raise DataError(f"{path}: trailing bytes in segment cache")
+    segments: "list[Segment]" = []
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16 or header[:4] != CACHE_MAGIC:
+            raise DataError(f"{path}: not a segment cache (bad magic)")
+        version, count, length = struct.unpack_from("<HII", header, 4)
+        if version != CACHE_VERSION:
+            raise DataError(f"{path}: unsupported cache version {version}")
+        if length != SEGMENT_LENGTH:
+            raise DataError(f"{path}: unexpected segment length {length}")
+        # the smallest record has an empty id: 3 + 4 header bytes, then the values
+        if os.fstat(fh.fileno()).st_size < 16 + count * (7 + 4 * length):
+            raise DataError(f"{path}: truncated segment cache")
+        values = np.empty((count, length), dtype="<f4")
+        try:
+            for row in values:
+                label_int, id_len = struct.unpack("<BH", fh.read(3))
+                rec_id = fh.read(id_len).decode("utf-8")
+                (window_index,) = struct.unpack("<I", fh.read(4))
+                if fh.readinto(row) != row.nbytes:
+                    raise DataError(f"{path}: truncated segment cache")
+                if label_int not in int_to_label:
+                    raise DataError(f"{path}: bad label byte {label_int}")
+                segments.append(Segment(values=row, label=int_to_label[label_int],
+                                        recording_id=rec_id, window_index=window_index))
+        except (struct.error, ValueError) as exc:
+            # struct.error: a short read; ValueError: an id that is not utf-8
+            raise DataError(f"{path}: truncated segment cache") from exc
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes in segment cache")
     return segments
 
 

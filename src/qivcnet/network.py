@@ -178,8 +178,8 @@ class QivcNet(Layer):
 
 
 def segments_to_batch(segments) -> np.ndarray:
-    """Stack segment values into a (batch, time, 1) array."""
-    return np.stack([s.values for s in segments])[:, :, None]
+    """Stack segment values into a (batch, time, 1) float64 array."""
+    return np.stack([s.values for s in segments], dtype=np.float64)[:, :, None]
 
 
 def _infer(forward, segments, batch: int) -> np.ndarray:

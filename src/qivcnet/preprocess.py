@@ -61,7 +61,8 @@ class Recording:
 
 @dataclass(frozen=True)
 class Segment:
-    """One preprocessed window: 2000 samples, centered, peak-normalized."""
+    """One preprocessed window: 2000 samples, centered, peak-normalized;
+    float64 from ``preprocess``, a float32 row of one array from the cache."""
 
     values: np.ndarray
     label: str
@@ -195,9 +196,10 @@ def inject_noise_snr(seg: Segment, snr_db: float, rng: Rng) -> Segment:
     """
     if np.isinf(snr_db):
         return seg
-    p_signal = float(np.mean(seg.values ** 2))
+    values = np.asarray(seg.values, dtype=np.float64)  # float32 cache rows widen exactly
+    p_signal = float(np.mean(values ** 2))
     p_noise = p_signal / (10.0 ** (snr_db / 10.0))
-    noisy = seg.values + rng.normal(len(seg.values)) * np.sqrt(p_noise)
+    noisy = values + rng.normal(len(values)) * np.sqrt(p_noise)
     noisy = noisy - noisy.mean()
     peak = np.max(np.abs(noisy))
     if peak == 0.0:

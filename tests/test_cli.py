@@ -10,6 +10,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -306,6 +307,82 @@ def test_preprocess_unreadable_wav_mid_stream_leaves_no_artifacts(tmp_path):
     assert "syn0001.wav" in err
     assert not cache.exists()
     assert not (tmp_path / "prep" / "rejections.csv").exists()
+    # the write streams, so the failure comes mid-write: an earlier cache stays whole
+    cache.write_bytes(b"earlier cache")
+    before = _hashes(tmp_path)
+    rc, _, _ = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                        "--outdir", tmp_path / "prep"])
+    assert rc == 3
+    assert _hashes(tmp_path) == before       # no segments.qivc.tmp either
+
+
+def _write_silent_wavs(root, n, seconds=8.0, rate=2000):
+    (root / "wavs").mkdir(parents=True)
+    lines = ["recording_id,relative_path,label"]
+    for i in range(n):
+        with wave.open(str(root / "wavs" / f"s{i}.wav"), "wb") as wav:
+            wav.setnchannels(1)
+            wav.setsampwidth(2)
+            wav.setframerate(rate)
+            wav.writeframes(bytes(2 * int(seconds * rate)))
+        lines.append(f"s{i},wavs/s{i}.wav,normal")
+    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return root / "manifest.csv"
+
+
+def test_preprocess_with_no_surviving_segment_keeps_the_earlier_cache(tmp_path):
+    manifest = _write_silent_wavs(tmp_path / "data", 3)
+    cache = tmp_path / "cache" / "segments.qivc"
+    cache.parent.mkdir()
+    argv = ["preprocess", "--manifest", manifest, "--cache", cache,
+            "--outdir", tmp_path / "prep"]
+    rc, _, err = run_cli(argv)
+    assert rc == 3
+    assert err == "error code=3 kind=data: no segments survived preprocessing\n"
+    assert list(cache.parent.iterdir()) == []
+    assert not (tmp_path / "prep").exists()
+    cache.write_bytes(b"earlier cache")
+    before = _hashes(cache.parent)
+    assert run_cli(argv)[0] == 3
+    assert _hashes(cache.parent) == before
+
+
+def test_preprocess_cache_in_a_missing_directory_is_a_config_error(tmp_path):
+    # the WAV is unreadable, so exit 2 rather than 3 shows no WAV was read
+    manifest = write_wav_dataset(tmp_path / "data", 2, Rng(4), seconds=4.0)
+    (tmp_path / "data" / "wavs" / "syn0000.wav").write_bytes(b"RIFF-not-really")
+    cache = tmp_path / "missing" / "s.qivc"
+    rc, _, err = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                          "--outdir", tmp_path / "prep"])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:")
+    assert err.count("\n") == 1
+    assert str(cache) in err
+    assert not (tmp_path / "prep").exists()
+    assert not (tmp_path / "missing").exists()
+
+
+def test_preprocess_memory_does_not_grow_with_the_corpus(tmp_path):
+    """Segments stream to the cache, so 16 recordings need no more traced
+    memory than 4 of the same length; holding them would add 16 kB each."""
+    manifests = {n: write_wav_dataset(tmp_path / f"d{n}", n, Rng(n), seconds=12.0)
+                 for n in (4, 16)}
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            rc, out, _ = run_cli(["preprocess", "--manifest", manifests[n],
+                                  "--cache", tmp_path / f"c{n}.qivc",
+                                  "--outdir", tmp_path / f"prep{n}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and f"cached {3 * n} segments" in out
+        return peak
+
+    traced_peak(4)                          # warm-up: scipy import, filter designs
+    small, large = traced_peak(4), traced_peak(16)
+    assert large <= small + 64 * 1024, (small, large)
 
 
 def _drop_label_field(manifest):

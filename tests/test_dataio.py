@@ -1,6 +1,7 @@
 """WAV ingest, manifests, and the binary segment cache."""
 
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
@@ -159,10 +160,33 @@ def test_cache_round_trip_exact(tmp_path):
 
 def test_cache_deterministic_bytes(tmp_path):
     segs = _segments(3)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_segment_cache(p1, segs)
+    p1, p2, p3 = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "c.bin"
+    assert save_segment_cache(p1, segs) == 3
     save_segment_cache(p2, segs)
-    assert p1.read_bytes() == p2.read_bytes()
+    # a generator streams to the same bytes, count patched into the header
+    assert save_segment_cache(p3, (s for s in segs)) == 3
+    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+
+
+def test_cache_loads_into_one_float32_array(tmp_path):
+    segs = _segments(64)
+    path = tmp_path / "segments.bin"
+    save_segment_cache(path, segs)
+    load_segment_cache(path)                       # warm-up
+    tracemalloc.start()
+    try:
+        back = load_segment_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows themselves plus Segment objects; a whole-file read or float64
+    # copies would add 512 kB or 1 MB
+    assert peak <= 64 * SEGMENT_LENGTH * 4 + 64 * 1024, peak
+    base = back[0].values.base
+    assert base.shape == (64, SEGMENT_LENGTH) and base.dtype == np.float32
+    for i, seg in enumerate(back):
+        assert seg.values.dtype == np.float32 and seg.values.base is base
+        assert np.shares_memory(seg.values, base[i])
 
 
 def test_cache_empty_list_round_trips(tmp_path):
@@ -199,10 +223,23 @@ def test_cache_truncation(tmp_path):
     path = tmp_path / "segments.bin"
     save_segment_cache(path, segs)
     blob = path.read_bytes()
-    for cut in (len(blob) - 100, 17, 5):
-        (tmp_path / "cut.bin").write_bytes(blob[:cut])
-        with pytest.raises(DataError):
+    # the last claims 2**32 - 1 segments; the file size is checked before allocating
+    for cut, why in ((blob[:len(blob) - 100], "truncated"), (blob[:17], "truncated"),
+                     (blob[:5], "bad magic"),
+                     (blob[:6] + struct.pack("<I", 0xFFFFFFFF) + blob[10:], "truncated")):
+        (tmp_path / "cut.bin").write_bytes(cut)
+        with pytest.raises(DataError, match=why):
             load_segment_cache(tmp_path / "cut.bin")
+
+
+def test_cache_bad_label_byte(tmp_path):
+    path = tmp_path / "segments.bin"
+    save_segment_cache(path, _segments(1))
+    blob = bytearray(path.read_bytes())
+    blob[16] = 7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="bad label byte 7"):
+        load_segment_cache(path)
 
 
 def test_cache_trailing_bytes(tmp_path):

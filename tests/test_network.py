@@ -10,6 +10,7 @@ from helpers import fd_grad, graph_bytes, rel_err
 from qivcnet import autodiff as ad
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
+from qivcnet.dataio import load_segment_cache, save_segment_cache
 from qivcnet.errors import ConfigError
 from qivcnet.losses import LossWeights, composite_loss, one_hot
 from qivcnet.network import (
@@ -22,7 +23,7 @@ from qivcnet.network import (
     infer_probs,
     segments_to_batch,
 )
-from qivcnet.preprocess import Segment
+from qivcnet.preprocess import SEGMENT_LENGTH, Segment
 from qivcnet.qire import QireConfig
 from qivcnet.rng import Rng
 from qivcnet.variational import total_loss
@@ -149,6 +150,15 @@ def test_inference_keeps_no_backward_closures(monkeypatch):
 def test_segments_to_batch_shape():
     segs = _segments(3, length=50)
     assert segments_to_batch(segs).shape == (3, 50, 1)
+
+
+def test_segments_to_batch_widens_cached_rows_exactly(tmp_path):
+    save_segment_cache(tmp_path / "c.qivc", _segments(3, length=SEGMENT_LENGTH))
+    cached = load_segment_cache(tmp_path / "c.qivc")
+    batch = segments_to_batch(cached)
+    want = np.stack([s.values.astype(np.float64) for s in cached])[:, :, None]
+    assert batch.dtype == np.float64
+    assert batch.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- reversal

@@ -335,6 +335,17 @@ def test_inject_matches_formula_replay():
     assert np.array_equal(got.values, want)
 
 
+def test_inject_reads_a_float32_row_as_its_float64_widening():
+    seg = finalize_segment(Rng(1).normal((1600,)), FS, "normal", "r", 0)
+    row = seg.values.astype(np.float32)
+    wide = Segment(values=row.astype(np.float64), label="normal", recording_id="r",
+                   window_index=0)
+    got = inject_noise_snr(Segment(values=row, label="normal", recording_id="r",
+                                   window_index=0), 15.0, Rng(7))
+    assert got.values.dtype == np.float64
+    assert got.values.tobytes() == inject_noise_snr(wide, 15.0, Rng(7)).values.tobytes()
+
+
 def test_inject_hits_target_snr_statistically():
     seg = finalize_segment(np.sin(np.arange(1600) / 5.0), FS, "normal", "r", 0)
     target_db = 20.0
