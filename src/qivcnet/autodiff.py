@@ -24,9 +24,9 @@ rebuild:
    recomputed from the input, which its producer holds anyway;
  - conv1d keeps no im2col matrix and no padded input: backward works per
    kernel tap on a fresh padding of the input;
- - lstm keeps the gate values, the cell states and one copy of the hidden
-   states, its output; tanh of the cells is recomputed a chunk at a time,
-   and a list input is read part by part, never joined;
+ - lstm keeps gates [i, f, o, tanh(g)] and cells (none under ``no_grad``),
+   its output is the one copy of the hidden states, tanh of the cells is
+   recomputed per chunk, and a list input is read part by part, never joined;
  - reverse_time returns a view;
  - max_pool keeps a bool mask of the windows whose maximum is their
    second step.
@@ -604,7 +604,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     return _make(data, (x, gamma, beta), back)
 
 
-_LSTM_CHUNK = 16   # steps per backward chunk; its gate rows stay in cache
+_LSTM_CHUNK = 16   # steps per forward and backward chunk; its gate rows stay in cache
 
 
 def _lstm_factors(z: np.ndarray, c_prev: np.ndarray,
@@ -639,9 +639,13 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     is never built: part k meets its own row block of wx.  wx is
     (features, 4*hidden), wh is (hidden, 4*hidden), b is (4*hidden,).
     Gates are packed [input, forget, output, cell] and the initial hidden and
-    cell states are zero.  The sigmoid gates use sigma(z) = 0.5 + 0.5*tanh(z/2):
-    their weight and bias columns are halved (exact in binary floating point),
-    so one tanh over the whole (B, 4H) gate row serves all four gates.
+    cell states are zero.  All four gates come from one e^z over the (B, 4H)
+    row: the weight and bias columns are negated and the cell gate's doubled
+    (exact in binary floating point), so 1 / (1 + e^z) is sigma of the input,
+    forget and output gates and 2 / (1 + e^z) - 1 = 2 sigma(2g) - 1 = tanh(g);
+    past exp's overflow a gate is exactly 0, 1 or -1.  Gates and cells are
+    stored only when the result keeps a backward closure: under ``no_grad``
+    none are kept.
     Backward is hand-rolled full-sequence BPTT, walked in chunks of steps;
     each chunk's share of the weight and input gradients is a few GEMMs
     outside the step loop.
@@ -663,40 +667,41 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     rows = [slice(end - xk.shape[2], end) for xk, end in zip(xs, ends)]
     wxd, whd = wx.data, wh.data
 
-    # Input projection as batched GEMMs straight into time-major order, so
-    # the recurrence works on contiguous (B, 4H) rows.  Later parts are added
-    # a chunk of steps at a time, so no second (T, B, 4H) array is made.
-    half = np.ones(4 * H)
-    half[: 3 * H] = 0.5
-    shift = 1.0 - half                          # 0.5 on sigmoid gates, 0 on the cell gate
-    wxh = wxd * half
-    gates = np.matmul(xs[0].transpose(1, 0, 2), wxh[rows[0]])   # (T, B, 4H)
-    for xk, rk in zip(xs[1:], rows[1:]):
+    # The bias rides in the input projection, made a chunk of steps at a time
+    # in time-major order, so the step loop works on contiguous (B, 4H) rows
+    # and broadcasts no vector.  Without a backward closure, one chunk's
+    # gate and cell buffers are reused.
+    sign = np.repeat([-1.0, -2.0], [3 * H, H])
+    wxs, whs, bias = wxd * sign, whd * sign, b.data * sign
+    keep = _grad_enabled and any(p.requires_grad for p in (*parts, wx, wh, b))
+    gates = np.empty((T if keep else _LSTM_CHUNK, B, 4 * H))
+    cells = np.empty((T if keep else _LSTM_CHUNK, B, H))
+    hiddens = np.empty((_LSTM_CHUNK, B, H))
+    out = np.empty((B, T, H))
+    num = np.tile(np.repeat([1.0, 2.0], [3 * H, H]), (B, 1))   # full rows: no broadcast
+    h = c = np.zeros((B, H))                   # read only, never written in place
+    with np.errstate(over="ignore", under="ignore"):   # e^z = inf gives a gate of exactly 0
         for start in range(0, T, _LSTM_CHUNK):
-            gates[start: start + _LSTM_CHUNK] += (
-                xk[:, start: start + _LSTM_CHUNK].transpose(1, 0, 2) @ wxh[rk])
-    bias = b.data * half
-    whh = whd * half
-    i_g = gates[:, :, :H]
-    f_g = gates[:, :, H: 2 * H]
-    o_g = gates[:, :, 2 * H: 3 * H]
-    g_g = gates[:, :, 3 * H:]
-    cells = np.empty((T, B, H))
-    hiddens = np.empty((T, B, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    for t in range(T):
-        z = gates[t]
-        z += h @ whh
-        z += bias
-        np.tanh(z, out=z)
-        z *= half
-        z += shift
-        c = cells[t] = f_g[t] * c + i_g[t] * g_g[t]
-        h = hiddens[t] = o_g[t] * np.tanh(c)
-    # the one copy of the hidden states kept: per-step rows of a (B, T, H)
-    # array would not be contiguous and would slow down the step loop's GEMM
-    out = np.ascontiguousarray(hiddens.transpose(1, 0, 2))
+            n = min(_LSTM_CHUNK, T - start)
+            at = slice(start, start + n) if keep else slice(0, n)
+            zc, cc = gates[at], cells[at]
+            np.matmul(xs[0][:, start: start + n].transpose(1, 0, 2), wxs[rows[0]], out=zc)
+            for xk, rk in zip(xs[1:], rows[1:]):
+                zc += xk[:, start: start + n].transpose(1, 0, 2) @ wxs[rk]
+            zc += bias
+            for k in range(n):
+                z = zc[k]
+                z += h @ whs
+                np.exp(z, out=z)
+                z += 1.0
+                np.divide(num, z, out=z)
+                g = z[:, 3 * H:]
+                g -= 1.0                        # the row now holds [i, f, o, tanh(g)]
+                c = np.multiply(z[:, H: 2 * H], c, out=cc[k])
+                c += z[:, :H] * g
+                h = np.tanh(c, out=hiddens[k])
+                h *= z[:, 2 * H: 3 * H]
+            out[:, start: start + n] = hiddens[:n].transpose(1, 0, 2)
 
     def back(g):
         dcf = np.zeros((B, H))                 # dc_next * f_next, carried back

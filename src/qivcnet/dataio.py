@@ -145,7 +145,7 @@ def save_segment_cache(path: "str | Path", segments: "Iterable[Segment]") -> int
 
 def load_segment_cache(path: "str | Path") -> "list[Segment]":
     """Read the cache into one (count, 2000) float32 array; each segment's
-    ``values`` is a row of it."""
+    ``values`` is a row of it.  A record holding NaN or inf is a DataError."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"missing segment cache: {path}")
@@ -180,6 +180,11 @@ def load_segment_cache(path: "str | Path") -> "list[Segment]":
             raise DataError(f"{path}: truncated segment cache") from exc
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes in segment cache")
+    # min and max propagate NaN and allocate nothing; rows are searched only on failure
+    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+        i = next(i for i, row in enumerate(values) if not np.isfinite(row).all())
+        raise DataError(f"{path}: record {i} ({segments[i].recording_id} window "
+                        f"{segments[i].window_index}) holds a non-finite value")
     return segments
 
 

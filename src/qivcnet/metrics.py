@@ -56,7 +56,7 @@ def _validate(labels, preds, scores) -> "tuple[np.ndarray, np.ndarray, np.ndarra
     if not labels.shape == preds.shape == scores.shape:
         raise ShapeError(
             f"length mismatch: labels {labels.shape}, preds {preds.shape}, scores {scores.shape}")
-    if np.any((scores < 0.0) | (scores > 1.0)):
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):     # NaN fails both
         raise ShapeError("scores must lie in [0, 1]")
     if np.any((labels < 0) | (labels > 1)) or np.any((preds < 0) | (preds > 1)):
         raise ShapeError("labels and predictions must be binary (0/1)")

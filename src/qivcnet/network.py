@@ -115,15 +115,25 @@ class RfrBlock(Layer):
             return bn.forward(x, training, relu=True)
         return self.act(bn.forward(x, training))
 
+    def _folded_conv(self, bn: BatchNorm, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """Inference-mode conv, batch norm and activation as one conv: the
+        kernel is w*s and the bias (b - mean)*s + beta, s = gamma / sqrt(var + eps)."""
+        s = bn.gamma * Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
+        return self.act(ad.conv1d(x, w * s, (b - Tensor(bn.running_mean)) * s + bn.beta))
+
     def path_features(self, x: Tensor, training: bool,
                       rng: "Rng | None") -> "tuple[Tensor, Tensor, Tensor]":
         """The three pre-fusion feature maps: (shortcut, forward, backward)."""
-        s = self._norm_act(self.bn_short, self.shortcut.forward(x), training)
-        f = self._norm_act(self.bn_fwd, self.fwd_conv.forward(x, training, rng), training)
         rx = ad.reverse_time(x)
-        br = self._norm_act(self.bn_bwd, self.bwd_conv.forward(rx, training, rng), training)
-        b = ad.reverse_time(br)
-        return s, f, b
+        if training:
+            s = self._norm_act(self.bn_short, self.shortcut.forward(x), training)
+            f = self._norm_act(self.bn_fwd, self.fwd_conv.forward(x, training, rng), training)
+            br = self._norm_act(self.bn_bwd, self.bwd_conv.forward(rx, training, rng), training)
+        else:
+            s = self._folded_conv(self.bn_short, x, self.shortcut.w, self.shortcut.b)
+            f = self._folded_conv(self.bn_fwd, x, self.fwd_conv.mu_w, self.fwd_conv.mu_b)
+            br = self._folded_conv(self.bn_bwd, rx, self.bwd_conv.mu_w, self.bwd_conv.mu_b)
+        return s, f, ad.reverse_time(br)
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
         s, f, b = self.path_features(x, training, rng)

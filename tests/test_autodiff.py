@@ -1,5 +1,6 @@
 """Gradient engine: every op against central differences and value oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -451,6 +452,40 @@ def test_lstm_shape_errors():
     with pytest.raises(ShapeError):
         ad.lstm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 8))),
                 Tensor(np.ones((2, 8))), Tensor(np.ones(8)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_lstm_saturated_gates_are_exact_and_warn_nothing():
+    # pre-activations near +-800 are far past exp's overflow point
+    rng = np.random.default_rng(84)
+    x = np.sign(rng.normal(size=(3, 2 * ad._LSTM_CHUNK + 3, 2)))
+    wx = np.sign(rng.normal(size=(2, 12))) * 400.0
+    wh = rng.normal(size=(3, 12)) * 0.5
+    b = rng.normal(size=12)
+    ts = [Tensor(a, requires_grad=True) for a in (x, wx, wh, b)]
+    out = ad.lstm(*ts)
+    assert np.max(np.abs(out.data)) > 0.5
+    assert np.max(np.abs(out.data - _ref_lstm(x, wx, wh, b))) < 1e-14
+    ad.backward(ad.tsum(out * Tensor(rng.normal(size=out.shape))))
+    assert all(np.all(np.isfinite(t.grad)) for t in ts)
+
+
+def test_lstm_keeps_no_gate_history_under_no_grad():
+    B, T, H = 8, 512, 16
+    rng = np.random.default_rng(85)
+    parts = [Tensor(rng.normal(size=(B, T, 16))) for _ in range(2)]
+    ws = [Tensor(rng.normal(size=s) * 0.3, requires_grad=True)
+          for s in ((32, 4 * H), (H, 4 * H), (4 * H,))]
+    with ad.no_grad():
+        ad.lstm(parts, *ws)                          # warm-up
+        tracemalloc.start()
+        try:
+            out = ad.lstm(parts, *ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (B, T, H) and out.data.flags.c_contiguous
+    assert peak < T * B * 4 * H * 8, peak         # one (T, B, 4H) float64 gate array
 
 
 def _lstm_parts(rng, widths, B=2, T=2 * ad._LSTM_CHUNK + 3, H=3):

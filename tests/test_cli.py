@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import wave
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from qivcnet import cli
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
 from qivcnet.cli import main
+from qivcnet.dataio import load_segment_cache, save_segment_cache
 from qivcnet.errors import NumericalError
 from qivcnet.rng import Rng
 from qivcnet.synthetic import write_wav_dataset
@@ -430,6 +432,24 @@ def test_eval_requires_a_checkpoint(pipeline, tmp_path):
                           "--outdir", tmp_path / "eval"])
     assert rc == 2
     assert "checkpoint" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+def test_non_finite_test_segment_is_a_data_error(pipeline, tmp_path, command):
+    # before the cache check, both commands exited 0 and reported ece=nan
+    segs = load_segment_cache(pipeline["cache"])
+    _, meta = load_checkpoint(pipeline["checkpoint"])
+    bad = segs[meta["test_indices"][0]]
+    segs = [replace(s, values=s.values.copy()) for s in segs]
+    segs[meta["test_indices"][0]].values[100] = np.nan
+    save_segment_cache(tmp_path / "nan.qivc", segs)
+    rc, _, err = run_cli([command, "--cache", tmp_path / "nan.qivc",
+                          "--checkpoint", pipeline["checkpoint"],
+                          "--outdir", tmp_path / "out"])
+    assert rc == 3
+    assert err.startswith("error code=3 kind=data:") and err.count("\n") == 1
+    assert f"({bad.recording_id} window {bad.window_index})" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_rejects_cache_from_a_different_corpus(pipeline, tmp_path):

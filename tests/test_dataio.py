@@ -189,6 +189,24 @@ def test_cache_loads_into_one_float32_array(tmp_path):
         assert np.shares_memory(seg.values, base[i])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cache_with_a_non_finite_record_is_a_data_error(tmp_path, bad):
+    segs = _segments(300)                  # the bad record sits in the second block
+    segs[290].values[1234] = bad
+    path = tmp_path / "segments.bin"
+    save_segment_cache(path, segs)
+    with pytest.raises(DataError, match=r"record 290 \(rec290 window 290\) holds a non-finite"):
+        load_segment_cache(path)
+
+
+def test_cache_accepts_the_largest_finite_values(tmp_path):
+    segs = _segments(2)
+    segs[0].values[:] = np.finfo(np.float32).max
+    path = tmp_path / "segments.bin"
+    save_segment_cache(path, segs)
+    assert np.all(load_segment_cache(path)[0].values == np.finfo(np.float32).max)
+
+
 def test_cache_empty_list_round_trips(tmp_path):
     path = tmp_path / "empty.bin"
     save_segment_cache(path, [])

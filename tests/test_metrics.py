@@ -209,6 +209,8 @@ def test_validation_errors():
     with pytest.raises(ShapeError):
         compute_metrics([1, 0], [1, 0], [0.5, 1.5])
     with pytest.raises(ShapeError):
+        compute_metrics([0, 1, 1], [0, 1, 0], [float("nan"), 0.7, 0.2])
+    with pytest.raises(ShapeError):
         compute_metrics([1, 2], [1, 0], [0.5, 0.5])
 
 

@@ -12,6 +12,7 @@ from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
 from qivcnet.dataio import load_segment_cache, save_segment_cache
 from qivcnet.errors import ConfigError
+from qivcnet.layers import named_arrays
 from qivcnet.losses import LossWeights, composite_loss, one_hot
 from qivcnet.network import (
     NetworkConfig,
@@ -176,6 +177,36 @@ def test_backward_path_mirrors_forward_path_when_tied():
     # run on the reversed signal, flipped back
     assert np.array_equal(b1.data, f2.data[:, ::-1, :])
     assert np.array_equal(b2.data, f1.data[:, ::-1, :])
+
+
+def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
+    # every statistic and affine term is moved off its fresh value (mean 0,
+    # var 1, gamma 1, beta 0, bias 0), any of which would hide a wrong fold
+    net = QivcNet(MICRO)
+    rng = np.random.default_rng(86)
+    for name, _, _, value in named_arrays(net):
+        arr = value.data if isinstance(value, Tensor) else value
+        if name.rsplit(".", 1)[1] in ("running_mean", "beta", "mu_b", "b"):
+            arr[...] = rng.normal(size=arr.shape) * 0.5
+        elif name.rsplit(".", 1)[1] in ("running_var", "gamma"):
+            arr[...] = rng.uniform(0.3, 2.0, size=arr.shape)
+    x = Tensor(Rng(9).normal((3, 32, 1)))
+    wgt = Tensor(rng.normal(size=(3, 2)))
+    runs = []
+    for folded in (True, False):
+        if not folded:    # reference: inference batch norm on each conv output
+            monkeypatch.setattr(RfrBlock, "_folded_conv", lambda blk, bn, x, w, b:
+                                blk._norm_act(bn, ad.conv1d(x, w, b), False))
+        probs = net.forward(x, training=False)
+        ad.backward(ad.tsum(probs * wgt))
+        grads = {k: p.grad for k, p in net.named_parameters().items() if p.grad is not None}
+        runs.append({"probs": probs.data, **grads})
+        for p in net.parameters():
+            p.grad = None
+    folded, reference = runs
+    assert folded.keys() == reference.keys() and "block0.bn_fwd.gamma" in folded
+    for key, want in reference.items():
+        assert np.max(np.abs(folded[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
 
 
 def test_paths_agree_on_constant_signal_with_tied_width_one_kernels():
