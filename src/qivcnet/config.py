@@ -12,6 +12,7 @@ so a run can be reproduced from its artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -65,8 +66,8 @@ class RunConfig:
         self.network_config()
         self.snr_values()
         self.kernel_shape_tuple()
-        if self.lr <= 0.0:
-            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:     # NaN fails too
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch < 2:
             raise ConfigError(f"batch size must be >= 2, got {self.batch}")
         if self.epochs < 1 or self.epochs > 500:
@@ -96,7 +97,11 @@ class RunConfig:
                        qire=self.qire_config())
 
     def snr_values(self) -> "list[float]":
-        return _split(self.snr_list, ",", float, "snr_list")
+        """The SNRs in dB; +inf means no noise, and NaN or -inf is an error."""
+        values = _split(self.snr_list, ",", float, "snr_list")
+        if not all(v > -math.inf for v in values):      # NaN fails too
+            raise ConfigError(f"snr_list {self.snr_list!r} holds nan or -inf")
+        return values
 
     def kernel_shape_tuple(self) -> "tuple[int, ...]":
         shape = tuple(_split(self.kernel_shape, "x", int, "kernel_shape"))

@@ -7,8 +7,9 @@ walks that declaration into dotted names such as ``block0.bn_fuse.gamma``,
 and ``parameters()`` for the optimizer, ``state_arrays()`` for
 checkpointing and ``load_state()`` all derive from it.
 
-These are the deterministic building blocks (plain convolution, batch norm,
-LSTM, dense); the variational convolution lives in its own module.
+These are the deterministic building blocks (batch norm, LSTM, dense); the
+variational convolution lives in its own module, and the RFR block holds its
+1x1 shortcut kernel as a bare tensor.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import ConfigError
 from .rng import Rng
 
 
-def _glorot(rng: Rng, shape: "tuple[int, ...]", fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: Rng, shape: "tuple[int, ...]", fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
 
@@ -67,13 +68,10 @@ class Layer:
         """Rebind every array to ``arrays[name]``; the names and shapes must
         match this layer's exactly."""
         own = self.state_arrays()
-        missing = set(own) - set(arrays)
-        if missing:
-            raise ConfigError(f"checkpoint missing arrays: {sorted(missing)[:4]}...")
-        unexpected = set(arrays) - set(own)
-        if unexpected:
-            raise ConfigError(f"checkpoint has {len(unexpected)} arrays this architecture "
-                              f"does not use: {sorted(unexpected)[:4]}...")
+        missing, unexpected = sorted(set(own) - set(arrays)), sorted(set(arrays) - set(own))
+        if missing or unexpected:
+            raise ConfigError(f"checkpoint lacks {len(missing)} arrays {missing[:4]} and has "
+                              f"{len(unexpected)} this architecture does not use {unexpected[:4]}")
         mismatched = [key for key in own if arrays[key].shape != own[key].shape]
         if mismatched:
             raise ConfigError(
@@ -83,20 +81,6 @@ class Layer:
                 value.data = arrays[name]
             else:
                 setattr(owner, attr, arrays[name])
-
-
-class Conv1d(Layer):
-    """Deterministic 1-D convolution (used by the shortcut path)."""
-
-    PARTS = ("w", "b")
-
-    def __init__(self, width: int, c_in: int, c_out: int, rng: Rng):
-        self.w = Tensor(_glorot(rng, (width, c_in, c_out), width * c_in, c_out),
-                        requires_grad=True)
-        self.b = Tensor(np.zeros(c_out), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ad.conv1d(x, self.w, self.b)
 
 
 class BatchNorm(Layer, BatchNormState):
@@ -128,9 +112,9 @@ class LSTM(Layer):
 
     def __init__(self, c_in: int, hidden: int, rng: Rng):
         self.hidden = hidden
-        self.wx = Tensor(_glorot(rng, (c_in, 4 * hidden), c_in, 4 * hidden),
+        self.wx = Tensor(glorot(rng, (c_in, 4 * hidden), c_in, 4 * hidden),
                          requires_grad=True)
-        self.wh = Tensor(_glorot(rng, (hidden, 4 * hidden), hidden, 4 * hidden),
+        self.wh = Tensor(glorot(rng, (hidden, 4 * hidden), hidden, 4 * hidden),
                          requires_grad=True)
         b = np.zeros(4 * hidden)
         b[hidden: 2 * hidden] = 1.0  # forget-gate block of the [i,f,o,g] packing
@@ -147,7 +131,7 @@ class Dense(Layer):
     PARTS = ("w", "b")
 
     def __init__(self, c_in: int, c_out: int, rng: Rng):
-        self.w = Tensor(_glorot(rng, (c_in, c_out), c_in, c_out), requires_grad=True)
+        self.w = Tensor(glorot(rng, (c_in, c_out), c_in, c_out), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:

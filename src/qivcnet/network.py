@@ -7,7 +7,9 @@ The two conv paths are fused by an LSTM that takes both as its input, then
 the fused features and the shortcut are refined by a second LSTM.  Each LSTM
 reads its two inputs side by side as one feature axis without building it.
 Every stage is followed by batch normalization and the block activation;
-a ReLU activation runs inside the batch-norm node.
+a ReLU activation runs inside the batch-norm node.  The three convolutions
+carry no bias, because the batch norm after each would subtract it; at
+inference each path's batch norm folds into its conv as one kernel and bias.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -23,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .layers import BatchNorm, Conv1d, Dense, Layer, LSTM
+from .layers import BatchNorm, Dense, Layer, LSTM, glorot
 from .qire import QireConfig
 from .rng import Rng
 from .variational import QiVConv
@@ -53,10 +55,10 @@ class NetworkConfig:
             raise ConfigError(f"filter counts must be nondecreasing, got {filters}")
         if self.classifier_width < 1:
             raise ConfigError(f"classifier width must be >= 1, got {self.classifier_width}")
-        if self.prior_var <= 0.0:
-            raise ConfigError(f"prior variance must be > 0, got {self.prior_var}")
-        if self.kl_scale < 0.0:
-            raise ConfigError(f"kl_scale must be >= 0, got {self.kl_scale}")
+        if not 0.0 < self.prior_var < np.inf:     # NaN fails too
+            raise ConfigError(f"prior_var must be finite and > 0, got {self.prior_var}")
+        if not 0.0 <= self.kl_scale < np.inf:
+            raise ConfigError(f"kl_scale must be finite and >= 0, got {self.kl_scale}")
         if self.activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not 0.0 < self.bn_momentum <= 1.0:
@@ -96,10 +98,10 @@ class RfrBlock(Layer):
         self.filters = filters
         self.act = ad.ACTIVATIONS[cfg.activation]
         self.fuse_relu = cfg.activation == "relu"
-        # conv paths apply their activation after batch norm
         self.fwd_conv = QiVConv(width, c_in, filters, cfg.qire, cfg.prior_var, rng)
         self.bwd_conv = QiVConv(width, c_in, filters, cfg.qire, cfg.prior_var, rng)
-        self.shortcut = Conv1d(1, c_in, filters, rng)
+        self.shortcut = Tensor(glorot(rng, (1, c_in, filters), c_in, filters),
+                               requires_grad=True)
         self.fusion_lstm = LSTM(2 * filters, filters, rng)
         self.refine_lstm = LSTM(2 * filters, filters, rng)
         mk_bn = lambda: BatchNorm(filters, momentum=cfg.bn_momentum)
@@ -115,24 +117,22 @@ class RfrBlock(Layer):
             return bn.forward(x, training, relu=True)
         return self.act(bn.forward(x, training))
 
-    def _folded_conv(self, bn: BatchNorm, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """Inference-mode conv, batch norm and activation as one conv: the
-        kernel is w*s and the bias (b - mean)*s + beta, s = gamma / sqrt(var + eps)."""
+    def _conv_stage(self, bn: BatchNorm, x: Tensor, w: Tensor, training: bool) -> Tensor:
+        """Bias-free conv, batch norm and activation.  At inference the batch
+        norm folds into the conv: kernel w*s and bias beta - mean*s, with
+        s = gamma / sqrt(var + eps)."""
+        if training:
+            return self._norm_act(bn, ad.conv1d(x, w), training)
         s = bn.gamma * Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
-        return self.act(ad.conv1d(x, w * s, (b - Tensor(bn.running_mean)) * s + bn.beta))
+        return self.act(ad.conv1d(x, w * s, bn.beta - Tensor(bn.running_mean) * s))
 
     def path_features(self, x: Tensor, training: bool,
                       rng: "Rng | None") -> "tuple[Tensor, Tensor, Tensor]":
         """The three pre-fusion feature maps: (shortcut, forward, backward)."""
         rx = ad.reverse_time(x)
-        if training:
-            s = self._norm_act(self.bn_short, self.shortcut.forward(x), training)
-            f = self._norm_act(self.bn_fwd, self.fwd_conv.forward(x, training, rng), training)
-            br = self._norm_act(self.bn_bwd, self.bwd_conv.forward(rx, training, rng), training)
-        else:
-            s = self._folded_conv(self.bn_short, x, self.shortcut.w, self.shortcut.b)
-            f = self._folded_conv(self.bn_fwd, x, self.fwd_conv.mu_w, self.fwd_conv.mu_b)
-            br = self._folded_conv(self.bn_bwd, rx, self.bwd_conv.mu_w, self.bwd_conv.mu_b)
+        s = self._conv_stage(self.bn_short, x, self.shortcut, training)
+        f = self._conv_stage(self.bn_fwd, x, self.fwd_conv.kernel(training, rng), training)
+        br = self._conv_stage(self.bn_bwd, rx, self.bwd_conv.kernel(training, rng), training)
         return s, f, ad.reverse_time(br)
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .rng import Rng
 
 SEGMENT_LENGTH = 2000
@@ -191,11 +191,13 @@ def inject_noise_snr(seg: Segment, snr_db: float, rng: Rng) -> Segment:
     """Add white Gaussian noise at the given SNR, then re-normalize.
 
     The noise power is P_signal / 10^(snr_db/10), measured against the
-    segment before renormalization.  An infinite SNR is the no-noise
-    sentinel and returns the segment unchanged.
+    segment before renormalization.  An SNR of +inf is the no-noise
+    sentinel and returns the segment unchanged; NaN and -inf are errors.
     """
-    if np.isinf(snr_db):
+    if snr_db == np.inf:
         return seg
+    if not np.isfinite(snr_db):
+        raise ConfigError(f"SNR must be finite or +inf, got {snr_db}")
     values = np.asarray(seg.values, dtype=np.float64)  # float32 cache rows widen exactly
     p_signal = float(np.mean(values ** 2))
     p_noise = p_signal / (10.0 ** (snr_db / 10.0))

@@ -170,15 +170,13 @@ def test_criterion_4_kl_closed_form_values():
     rho_prior = softplus_inverse(0.1)
 
     def layer_at(mu: float, shape) -> QiVConv:
-        # weight means at mu, bias means at 0, every sigma at the prior's 0.1
+        # weight means at mu, every sigma at the prior's 0.1
         layer = QiVConv(*shape, QireConfig(k=1), 0.01, Rng(0))
         layer.mu_w.data = np.full(shape, mu)
         layer.rho_w.data = np.full(shape, rho_prior)
-        layer.mu_b.data = np.zeros(shape[-1])
-        layer.rho_b.data = np.full(shape[-1], rho_prior)
         return layer
 
-    n_elem = np.prod(shape) + shape[-1]
+    n_elem = np.prod(shape)
     per_elem = float(kl_divergence(layer_at(0.0, shape)).data) / n_elem
     half = float(kl_divergence(layer_at(0.1, (1, 1, 1))).data)
     ok = abs(per_elem) < 2e-7 and abs(half - 0.5) < 1e-9

@@ -258,6 +258,12 @@ def test_failed_rerun_keeps_the_earlier_run(pipeline, tmp_path):
     ("--pool-between", "maybe", "pool_between"),
     ("--epochs", "abc", "epochs"),
     ("--lr", "fast", "lr"),
+    # NaN fails every range check, and +inf is out of range for these three
+    *[(flag, value, flag[2:].replace("-", "_"))
+      for flag in ("--lr", "--prior-var", "--kl-scale") for value in ("nan", "inf")],
+    # +inf means "no noise"; a bare -inf would parse as a flag
+    ("--snr-list", "10,nan", "snr_list"),
+    ("--snr-list", "10,-inf", "snr_list"),
 ])
 def test_bad_flag_value_is_a_config_error(tmp_path, flag, value, field):
     rc, _, err = run_cli(["train", "--outdir", tmp_path / "run", flag, value])
@@ -479,6 +485,29 @@ def test_eval_rejects_incomplete_checkpoint_metadata(pipeline, tmp_path, keep, p
                           "--outdir", tmp_path / "eval"])
     assert rc == 3
     assert err.startswith("error code=3 kind=data:")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_refuses_a_checkpoint_with_conv_biases(pipeline, tmp_path):
+    # the array layout from before the convs that feed a batch norm lost
+    # their biases: mu_b/rho_b per conv and a shortcut.w/shortcut.b pair
+    arrays, meta = load_checkpoint(pipeline["checkpoint"])
+    old = {}
+    for name, arr in arrays.items():
+        if name.endswith(".shortcut"):
+            old[name + ".w"], old[name + ".b"] = arr, np.zeros(arr.shape[-1])
+        else:
+            old[name] = arr
+        if name.endswith("_conv.mu_w"):
+            old[name[:-1] + "b"] = np.zeros(arr.shape[-1])
+            old[name[:-4] + "rho_b"] = np.full(arr.shape[-1], -5.0)
+    save_checkpoint(tmp_path / "old.bin", old, meta)
+    rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
+                          "--checkpoint", tmp_path / "old.bin",
+                          "--outdir", tmp_path / "eval"])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:") and err.count("\n") == 1
+    assert "block0.fwd_conv.mu_b" in err
     assert not (tmp_path / "eval").exists()
 
 

@@ -181,12 +181,12 @@ def test_backward_path_mirrors_forward_path_when_tied():
 
 def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
     # every statistic and affine term is moved off its fresh value (mean 0,
-    # var 1, gamma 1, beta 0, bias 0), any of which would hide a wrong fold
+    # var 1, gamma 1, beta 0), any of which would hide a wrong fold
     net = QivcNet(MICRO)
     rng = np.random.default_rng(86)
     for name, _, _, value in named_arrays(net):
         arr = value.data if isinstance(value, Tensor) else value
-        if name.rsplit(".", 1)[1] in ("running_mean", "beta", "mu_b", "b"):
+        if name.rsplit(".", 1)[1] in ("running_mean", "beta", "b"):
             arr[...] = rng.normal(size=arr.shape) * 0.5
         elif name.rsplit(".", 1)[1] in ("running_var", "gamma"):
             arr[...] = rng.uniform(0.3, 2.0, size=arr.shape)
@@ -195,8 +195,8 @@ def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
     runs = []
     for folded in (True, False):
         if not folded:    # reference: inference batch norm on each conv output
-            monkeypatch.setattr(RfrBlock, "_folded_conv", lambda blk, bn, x, w, b:
-                                blk._norm_act(bn, ad.conv1d(x, w, b), False))
+            monkeypatch.setattr(RfrBlock, "_conv_stage", lambda blk, bn, x, w, training:
+                                blk._norm_act(bn, ad.conv1d(x, w), training))
         probs = net.forward(x, training=False)
         ad.backward(ad.tsum(probs * wgt))
         grads = {k: p.grad for k, p in net.named_parameters().items() if p.grad is not None}
@@ -235,7 +235,6 @@ def test_train_equals_infer_when_noise_vanishes():
     for blk in net.blocks:
         for conv in (blk.fwd_conv, blk.bwd_conv):
             conv.rho_w.data[:] = -40.0
-            conv.rho_b.data[:] = -40.0
     x = Tensor(Rng(2).normal((6, 24, 1)))
     train_out = net.forward(x, training=True, rng=Rng(3)).data
     infer_out = net.forward(x, training=False).data
@@ -270,8 +269,8 @@ def test_load_state_rejects_missing_arrays():
 def test_load_state_rejects_unexpected_arrays():
     small = QivcNet(NetworkConfig(blocks=((2, 3),), classifier_width=3, seed=0))
     big = QivcNet(MICRO)
-    # 76 arrays offered, 40 used
-    with pytest.raises(ConfigError, match=r"has 36 arrays .* \['block1\."):
+    # 66 arrays offered, 35 used
+    with pytest.raises(ConfigError, match=r"lacks 0 arrays .* has 31 .* \['block1\."):
         small.load_state(big.state_arrays())
 
 
@@ -290,7 +289,7 @@ def test_untrained_default_checkpoint_bytes_are_pinned(tmp_path):
     save_checkpoint(path, QivcNet(cfg).state_arrays(),
                     {"network": config_to_dict(cfg), "fold": 0})
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "4bbb036ea05a7f47328df8333f0bd440e3505303d05c3efcaa3e9e3e096cae46"
+    assert digest == "7d6a3bec7b81a2801438c590c6cf8b8ac1ba86fabe269e348e85a1872c1d6d15"
 
 
 def test_named_parameters_follow_checkpoint_names():
@@ -331,9 +330,9 @@ def test_export_latent_needs_three_coordinates():
 def test_parameter_inventory_micro_block():
     cfg = NetworkConfig(blocks=((2, 3),), classifier_width=3, seed=0)
     net = QivcNet(cfg)
-    # per block: two variational convs 2*(3*1*2 + 2), shortcut 1*1*2 + 2,
+    # per block: two bias-free variational convs 2*(2*3*1*2), shortcut 1*1*2,
     # two lstms (4*8 + 2*8 + 8), five batch norms 2*2 each
-    block = 2 * (2 * (6 + 2)) + (2 + 2) + 2 * (32 + 16 + 8) + 5 * 4
+    block = 2 * (2 * 6) + 2 + 2 * (32 + 16 + 8) + 5 * 4
     dense = (2 * 3 + 3) + (3 * 2 + 2)
     total = sum(p.data.size for p in net.parameters())
     assert total == block + dense
@@ -352,21 +351,34 @@ def test_shapes_through_pooling():
 
 # ------------------------------------------------------------- graph memory
 
-def test_training_graph_holds_only_what_backward_needs():
-    # Pinned at the default network's training objective.  Each op keeps only
-    # what its backward cannot cheaply rebuild, so a change that starts to
-    # save a centred input, an im2col matrix, a joined LSTM input or a second
-    # copy of the hidden states again fails here.
+def _default_objective() -> "tuple[QivcNet, Tensor]":
+    """The default network and its training objective on four segments."""
     cfg = NetworkConfig()
     net = QivcNet(cfg)
     x = Tensor(Rng(22).normal((4, 64, 1)))
     probs = net.forward(x, training=True, rng=Rng(23))
     task, _, _ = composite_loss(probs, one_hot(np.array([0, 1, 0, 1])), LossWeights())
-    objective = total_loss(task, net.kl(), cfg.kl_scale)
-    assert graph_bytes(objective) == 2_328_360
+    return net, total_loss(task, net.kl(), cfg.kl_scale)
+
+
+def test_training_graph_holds_only_what_backward_needs():
+    # Pinned at the default network's training objective.  Each op keeps only
+    # what its backward cannot cheaply rebuild, so a change that starts to
+    # save a centred input, an im2col matrix, a joined LSTM input or a second
+    # copy of the hidden states again fails here.
+    assert graph_bytes(_default_objective()[1]) == 2_318_504
 
 
 # ---------------------------------------------------------------- gradients
+
+def test_shipped_network_has_no_dead_parameter():
+    # A parameter whose gradient is rounding noise (a conv bias that a batch
+    # norm cancels, say) is one Adam would scale up into lr-sized steps.
+    net, objective = _default_objective()
+    ad.backward(objective)
+    largest = {name: float(np.max(np.abs(p.grad))) for name, p in net.named_parameters().items()}
+    assert {name: g for name, g in largest.items() if not g > 1e-8} == {}
+
 
 def test_network_gradients_match_finite_differences():
     cfg = MICRO
@@ -382,8 +394,8 @@ def test_network_gradients_match_finite_differences():
     loss = loss_value()
     ad.backward(loss)
     by_name = net.state_arrays()
-    picks = ["block0.fwd_conv.mu_w", "block0.fwd_conv.rho_w", "block0.bwd_conv.rho_b",
-             "block0.shortcut.w", "block0.fusion_lstm.wx", "block1.refine_lstm.wh",
+    picks = ["block0.fwd_conv.mu_w", "block0.fwd_conv.rho_w", "block1.bwd_conv.rho_w",
+             "block0.shortcut", "block0.fusion_lstm.wx", "block1.refine_lstm.wh",
              "block1.bn_fuse.gamma", "hidden.w", "head.b"]
     tensors = {id(p.data): p for p in net.parameters()}
     f = lambda: float(loss_value().data)
@@ -393,11 +405,6 @@ def test_network_gradients_match_finite_differences():
         assert grad is not None, name
         fd = fd_grad(f, arr)
         assert rel_err(grad, fd) < 1e-4, name
-    # a conv bias mean shifts every timestep equally, and the following batch
-    # norm subtracts it right back out: its data-path gradient vanishes (the
-    # zero-mean init also kills its KL term)
-    mu_b_grad = tensors[id(by_name["block0.bwd_conv.mu_b"])].grad
-    assert np.max(np.abs(mu_b_grad)) < 1e-12
 
 
 def test_relu_network_gradients_match_finite_differences(monkeypatch):

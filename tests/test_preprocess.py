@@ -6,7 +6,7 @@ import pytest
 from scipy import signal
 
 from qivcnet import preprocess
-from qivcnet.errors import DataError
+from qivcnet.errors import ConfigError, DataError
 from qivcnet.preprocess import (
     BAND_HIGH_HZ,
     BAND_LOW_HZ,
@@ -322,6 +322,15 @@ def test_finalize_segment_matches_reference_on_odd_widths():
 def test_inject_infinite_snr_is_identity():
     seg = finalize_segment(Rng(1).normal((1600,)), FS, "normal", "r", 0)
     assert inject_noise_snr(seg, float("inf"), Rng(2)) is seg
+
+
+@pytest.mark.parametrize("snr_db", [float("-inf"), float("nan")])
+def test_inject_rejects_nan_and_minus_infinity(snr_db):
+    # only +inf is the no-noise sentinel; the rest of the non-finite values
+    # would write the clean model's metrics or fail far downstream
+    seg = finalize_segment(Rng(1).normal((1600,)), FS, "normal", "r", 0)
+    with pytest.raises(ConfigError, match="SNR"):
+        inject_noise_snr(seg, snr_db, Rng(2))
 
 
 def test_inject_matches_formula_replay():

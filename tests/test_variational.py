@@ -9,7 +9,7 @@ from helpers import fd_grad, rel_err
 from qivcnet import autodiff as ad
 from qivcnet.autodiff import LOG_EPS, Tensor
 from qivcnet.errors import ConfigError
-from qivcnet.qire import QireConfig
+from qivcnet.qire import QireConfig, qire_sample
 from qivcnet.rng import Rng
 from qivcnet.variational import (
     QiVConv,
@@ -21,7 +21,7 @@ from qivcnet.variational import (
 
 
 def _layer_with(arrays, prior_var, qire=QireConfig()):
-    """Layer whose (mu_w, rho_w, mu_b, rho_b) are the given arrays."""
+    """Layer whose (mu_w, rho_w) are the given arrays."""
     layer = QiVConv(*arrays[0].shape, qire, prior_var, Rng(0))
     for param, arr in zip(layer.parameters(), arrays):
         param.data = arr
@@ -29,11 +29,9 @@ def _layer_with(arrays, prior_var, qire=QireConfig()):
 
 
 def _const_kernel(mu, sigma, prior_var, shape=(1, 1, 1), qire=QireConfig()):
-    """Layer with every weight at (mu, sigma) and bias pinned to the prior."""
-    rho = softplus_inverse(sigma)
-    rho_b = softplus_inverse(math.sqrt(prior_var))
-    return _layer_with([np.full(shape, mu), np.full(shape, rho),
-                        np.zeros(shape[-1]), np.full(shape[-1], rho_b)], prior_var, qire)
+    """Layer with every weight at (mu, sigma)."""
+    return _layer_with([np.full(shape, mu), np.full(shape, softplus_inverse(sigma))],
+                       prior_var, qire)
 
 
 # ---------------------------------------------------------------- softplus
@@ -56,12 +54,13 @@ def test_softplus_inverse_rejects_nonpositive():
 def test_init_shapes_and_sigma_start():
     prior_var = 0.04
     vk = QiVConv(7, 3, 8, QireConfig(), prior_var, Rng(0))
+    # a posterior over the kernel only: the batch norm after every conv
+    # would cancel a bias
+    assert list(vk.named_parameters()) == ["mu_w", "rho_w"]
     assert vk.mu_w.shape == (7, 3, 8)
     assert vk.rho_w.shape == (7, 3, 8)
-    assert vk.mu_b.shape == (8,)
     sigma0 = np.logaddexp(0.0, vk.rho_w.data)
     assert np.allclose(sigma0, 0.5 * math.sqrt(prior_var), rtol=1e-12)
-    assert np.array_equal(vk.mu_b.data, np.zeros(8))
     limit = math.sqrt(6.0 / (7 * 3 + 8))
     assert np.all(np.abs(vk.mu_w.data) <= limit)
     # means actually spread out rather than collapsed at zero
@@ -77,7 +76,7 @@ def test_init_deterministic():
 def test_kernel_validates():
     with pytest.raises(ConfigError):
         _const_kernel(0.0, 0.1, prior_var=0.0)
-    for prior_var in (0.0, -1.0):
+    for prior_var in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             QiVConv(2, 1, 1, QireConfig(), prior_var, Rng(0))
 
@@ -90,7 +89,7 @@ def test_sampled_kernel_noise_has_unit_norm():
     sigma = 0.3
     vk = _const_kernel(0.7, sigma, prior_var=0.04, shape=(5, 2, 3),
                        qire=QireConfig(k=4, p=0.0, rescale_sqrt_n=False))
-    w_s, _ = sample_weights(vk, Rng(11))
+    w_s = sample_weights(vk, Rng(11))
     eps = (w_s.data - vk.mu_w.data) / sigma
     assert np.linalg.norm(eps) == pytest.approx(1.0, abs=1e-10)
 
@@ -99,35 +98,31 @@ def test_tiny_sigma_collapses_to_mean():
     vk = _const_kernel(0.25, 0.1, prior_var=0.01, shape=(3, 1, 2),
                        qire=QireConfig(k=2, p=0.0))
     vk.rho_w.data[:] = -40.0
-    vk.rho_b.data[:] = -40.0
-    w_s, b_s = sample_weights(vk, Rng(3))
+    w_s = sample_weights(vk, Rng(3))
     assert np.max(np.abs(w_s.data - vk.mu_w.data)) < 1e-15
-    assert np.max(np.abs(b_s.data - vk.mu_b.data)) < 1e-15
 
 
 def test_sampling_deterministic_given_seed():
     vk = _const_kernel(0.0, 0.2, prior_var=0.04, shape=(3, 2, 2),
                        qire=QireConfig(k=3, p=0.1))
-    w1, b1 = sample_weights(vk, Rng(9))
-    w2, b2 = sample_weights(vk, Rng(9))
+    w1 = sample_weights(vk, Rng(9))
+    w2 = sample_weights(vk, Rng(9))
     assert np.array_equal(w1.data, w2.data)
-    assert np.array_equal(b1.data, b2.data)
-    w3, _ = sample_weights(vk, Rng(10))
+    w3 = sample_weights(vk, Rng(10))
     assert not np.array_equal(w1.data, w3.data)
 
 
-def test_bias_noise_drawn_after_kernel_noise():
+def test_sampling_draws_only_the_kernel_noise():
     vk = _const_kernel(0.0, 0.2, prior_var=0.04, shape=(3, 1, 2),
                        qire=QireConfig(k=2, p=0.0))
     rng = Rng(21)
-    _, b_s = sample_weights(vk, rng)
-    # replay: consume the kernel draw by hand, then the bias draw must match
+    w_s = sample_weights(vk, rng)
+    # replay the kernel draw by hand: it must be the whole perturbation, and
+    # the stream must be left exactly where that one draw leaves it
     replay = Rng(21)
-    from qivcnet.qire import qire_sample
-    qire_sample((3, 1, 2), vk.qire, replay)
-    eta = replay.normal((2,))
-    sigma_b = np.logaddexp(0.0, vk.rho_b.data)
-    assert np.allclose(b_s.data, sigma_b * eta, rtol=0, atol=1e-15)
+    eps = qire_sample((3, 1, 2), vk.qire, replay)
+    assert np.allclose(w_s.data, np.logaddexp(0.0, vk.rho_w.data) * eps, rtol=0, atol=1e-15)
+    assert np.array_equal(rng.normal((4,)), replay.normal((4,)))
 
 
 # ---------------------------------------------------------------- forward
@@ -138,7 +133,7 @@ def test_infer_uses_means_and_is_deterministic():
     o1 = vk.forward(x, training=False).data
     o2 = vk.forward(x, training=False).data
     assert np.array_equal(o1, o2)
-    want = ad.conv1d(x, vk.mu_w, vk.mu_b).data
+    want = ad.conv1d(x, vk.mu_w).data
     assert np.array_equal(o1, want)
 
 
@@ -159,7 +154,7 @@ def test_layer_object_requires_rng_for_training():
 def test_parameter_count_doubles_point_estimate():
     layer = QiVConv(7, 3, 8, QireConfig(), prior_var=0.04, rng=Rng(0))
     n_params = sum(p.data.size for p in layer.parameters())
-    point = 7 * 3 * 8 + 8
+    point = 7 * 3 * 8
     assert n_params == 2 * point
 
 
@@ -170,13 +165,13 @@ def test_kl_zero_when_posterior_equals_prior():
     sp = math.sqrt(prior_var)
     vk = _const_kernel(0.0, sp, prior_var, shape=(7, 3, 8))
     total = kl_divergence(vk).data
-    n_elem = 7 * 3 * 8 + 8
+    n_elem = 7 * 3 * 8
     assert abs(total) / n_elem < 2e-7
 
 
 def test_kl_single_weight_closed_form():
     # mu = sigma = sigma_prior = 0.1: quad term 2*0.01/0.02 = 1, logs cancel,
-    # minus 1/2 leaves exactly 0.5; bias pinned to prior contributes ~0
+    # minus 1/2 leaves exactly 0.5
     vk = _const_kernel(0.1, 0.1, prior_var=0.01, shape=(1, 1, 1))
     assert kl_divergence(vk).data == pytest.approx(0.5, abs=1e-9)
 
@@ -184,8 +179,7 @@ def test_kl_single_weight_closed_form():
 def test_kl_matches_direct_formula():
     rng = Rng(5)
     prior_var = 0.04
-    vk = _layer_with([rng.normal((3, 2, 4)) * 0.3, rng.normal((3, 2, 4)) - 2.0,
-                      rng.normal((4,)) * 0.3, rng.normal((4,)) - 2.0], prior_var)
+    vk = _layer_with([rng.normal((3, 2, 4)) * 0.3, rng.normal((3, 2, 4)) - 2.0], prior_var)
 
     def direct(mu, rho):
         sigma = np.logaddexp(0.0, rho)
@@ -193,8 +187,7 @@ def test_kl_matches_direct_formula():
                       - np.log(sigma + LOG_EPS)
                       + np.log(math.sqrt(prior_var) + LOG_EPS) - 0.5)
 
-    want = (direct(vk.mu_w.data, vk.rho_w.data)
-            + direct(vk.mu_b.data, vk.rho_b.data))
+    want = direct(vk.mu_w.data, vk.rho_w.data)
     assert kl_divergence(vk).data == pytest.approx(want, rel=1e-12)
 
 
@@ -207,8 +200,7 @@ def test_kl_increases_with_mean_offset():
 
 def test_kl_grad_matches_finite_differences():
     rng = Rng(8)
-    arrays = [rng.normal((2, 1, 3)) * 0.3, rng.normal((2, 1, 3)) - 2.0,
-              rng.normal((3,)) * 0.3, rng.normal((3,)) - 2.0]
+    arrays = [rng.normal((2, 1, 3)) * 0.3, rng.normal((2, 1, 3)) - 2.0]
 
     def loss_of(parts):
         vk = _layer_with(parts, prior_var=0.04)
@@ -231,8 +223,9 @@ def test_total_loss_scaling():
     assert total_loss(task, kl, 0.0) is task
     assert total_loss(task, kl, 1e-5).data == pytest.approx(2.0 + 3e-5)
     assert total_loss(task, kl, 2.0).data == pytest.approx(8.0)
-    with pytest.raises(ConfigError):
-        total_loss(task, kl, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            total_loss(task, kl, bad)
 
 
 # --------------------------------------------------- end-to-end gradients
