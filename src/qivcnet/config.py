@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .network import NetworkConfig
+from .preprocess import snr_power_ratio
 from .qire import QireConfig
 
 
@@ -68,6 +69,8 @@ class RunConfig:
         self.kernel_shape_tuple()
         if not 0.0 < self.lr < math.inf:     # NaN fails too
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.kl_scale < math.inf:
+            raise ConfigError(f"kl_scale must be finite and >= 0, got {self.kl_scale}")
         if self.batch < 2:
             raise ConfigError(f"batch size must be >= 2, got {self.batch}")
         if self.epochs < 1 or self.epochs > 500:
@@ -97,10 +100,12 @@ class RunConfig:
                        qire=self.qire_config())
 
     def snr_values(self) -> "list[float]":
-        """The SNRs in dB; +inf means no noise, and NaN or -inf is an error."""
+        """The SNRs in dB; +inf means no noise, and NaN, -inf or a finite SNR
+        past ``snr_power_ratio``'s range (about +-3082 dB) is an error."""
         values = _split(self.snr_list, ",", float, "snr_list")
-        if not all(v > -math.inf for v in values):      # NaN fails too
-            raise ConfigError(f"snr_list {self.snr_list!r} holds nan or -inf")
+        for v in values:
+            if v != math.inf:
+                snr_power_ratio(v, f"each SNR of snr_list {self.snr_list!r}")
         return values
 
     def kernel_shape_tuple(self) -> "tuple[int, ...]":

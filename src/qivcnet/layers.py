@@ -111,7 +111,6 @@ class LSTM(Layer):
     PARTS = ("wx", "wh", "b")
 
     def __init__(self, c_in: int, hidden: int, rng: Rng):
-        self.hidden = hidden
         self.wx = Tensor(glorot(rng, (c_in, 4 * hidden), c_in, 4 * hidden),
                          requires_grad=True)
         self.wh = Tensor(glorot(rng, (hidden, 4 * hidden), hidden, 4 * hidden),

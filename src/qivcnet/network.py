@@ -1,15 +1,16 @@
 """Reversal-fusion-residual blocks and the stacked classifier network.
 
-An RFR block runs three parallel views of its input: a 1x1-conv shortcut,
-a variational conv on the signal, and a variational conv on the
-time-reversed signal (un-reversed afterwards so features stay aligned).
-The two conv paths are fused by an LSTM that takes both as its input, then
-the fused features and the shortcut are refined by a second LSTM.  Each LSTM
-reads its two inputs side by side as one feature axis without building it.
-Every stage is followed by batch normalization and the block activation;
-a ReLU activation runs inside the batch-norm node.  The three convolutions
-carry no bias, because the batch norm after each would subtract it; at
-inference each path's batch norm folds into its conv as one kernel and bias.
+An RFR block runs a 1x1-conv shortcut and two variational convs, one per
+time direction.  A "same"-padded conv of the reversed signal, reversed back,
+is a forward conv with its kernel flipped in time (exactly, at odd widths),
+and a kernel or its flip spans the same space, so both kernels run forward:
+joined along the output channels as one conv with one batch norm, whose
+2F-channel output is the fusion LSTM's input.  A second LSTM refines the
+fused features and the shortcut, read side by side as one feature axis that
+is never built.  Every stage ends in batch norm and the block activation (a
+ReLU runs inside the batch-norm node).  The convs carry no bias, since the
+batch norm after each would subtract it; at inference each conv stage's
+batch norm folds into its conv as one kernel and bias.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -38,7 +39,6 @@ class NetworkConfig:
     blocks: "tuple[tuple[int, int], ...]" = ((16, 7), (32, 7))  # (filters, kernel width)
     pool_between: bool = True
     classifier_width: int = 32
-    kl_scale: float = 1e-5
     qire: QireConfig = field(default_factory=QireConfig)
     prior_var: float = 0.01
     activation: str = "relu"
@@ -57,8 +57,6 @@ class NetworkConfig:
             raise ConfigError(f"classifier width must be >= 1, got {self.classifier_width}")
         if not 0.0 < self.prior_var < np.inf:     # NaN fails too
             raise ConfigError(f"prior_var must be finite and > 0, got {self.prior_var}")
-        if not 0.0 <= self.kl_scale < np.inf:
-            raise ConfigError(f"kl_scale must be finite and >= 0, got {self.kl_scale}")
         if self.activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not 0.0 < self.bn_momentum <= 1.0:
@@ -91,11 +89,10 @@ class RfrBlock(Layer):
     """One reversal-fusion-residual block."""
 
     PARTS = ("fwd_conv", "bwd_conv", "shortcut", "fusion_lstm", "refine_lstm",
-             "bn_fwd", "bn_bwd", "bn_short", "bn_fuse", "bn_refine")
+             "bn_conv", "bn_short", "bn_fuse", "bn_refine")
 
     def __init__(self, c_in: int, filters: int, width: int,
                  cfg: NetworkConfig, rng: Rng):
-        self.filters = filters
         self.act = ad.ACTIVATIONS[cfg.activation]
         self.fuse_relu = cfg.activation == "relu"
         self.fwd_conv = QiVConv(width, c_in, filters, cfg.qire, cfg.prior_var, rng)
@@ -104,12 +101,9 @@ class RfrBlock(Layer):
                                requires_grad=True)
         self.fusion_lstm = LSTM(2 * filters, filters, rng)
         self.refine_lstm = LSTM(2 * filters, filters, rng)
-        mk_bn = lambda: BatchNorm(filters, momentum=cfg.bn_momentum)
-        self.bn_fwd = mk_bn()
-        self.bn_bwd = mk_bn()
-        self.bn_short = mk_bn()
-        self.bn_fuse = mk_bn()
-        self.bn_refine = mk_bn()
+        bn = lambda channels: BatchNorm(channels, momentum=cfg.bn_momentum)
+        self.bn_conv = bn(2 * filters)     # the fwd kernel's channels, then the bwd kernel's
+        self.bn_short, self.bn_fuse, self.bn_refine = bn(filters), bn(filters), bn(filters)
 
     def _norm_act(self, bn: BatchNorm, x: Tensor, training: bool) -> Tensor:
         """Batch norm then the block activation (one node for ReLU)."""
@@ -126,18 +120,12 @@ class RfrBlock(Layer):
         s = bn.gamma * Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
         return self.act(ad.conv1d(x, w * s, bn.beta - Tensor(bn.running_mean) * s))
 
-    def path_features(self, x: Tensor, training: bool,
-                      rng: "Rng | None") -> "tuple[Tensor, Tensor, Tensor]":
-        """The three pre-fusion feature maps: (shortcut, forward, backward)."""
-        rx = ad.reverse_time(x)
-        s = self._conv_stage(self.bn_short, x, self.shortcut, training)
-        f = self._conv_stage(self.bn_fwd, x, self.fwd_conv.kernel(training, rng), training)
-        br = self._conv_stage(self.bn_bwd, rx, self.bwd_conv.kernel(training, rng), training)
-        return s, f, ad.reverse_time(br)
-
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
-        s, f, b = self.path_features(x, training, rng)
-        fused = self._norm_act(self.bn_fuse, self.fusion_lstm.forward([f, b]), training)
+        s = self._conv_stage(self.bn_short, x, self.shortcut, training)
+        w = ad.concat([self.fwd_conv.kernel(training, rng),
+                       self.bwd_conv.kernel(training, rng)])   # (width, c_in, 2F)
+        fb = self._conv_stage(self.bn_conv, x, w, training)
+        fused = self._norm_act(self.bn_fuse, self.fusion_lstm.forward(fb), training)
         return self._norm_act(self.bn_refine, self.refine_lstm.forward([fused, s]), training)
 
     def kl(self) -> Tensor:
@@ -175,16 +163,11 @@ class QivcNet(Layer):
         return ad.softmax(self.head.forward(h))
 
     def kl(self) -> Tensor:
-        total = self.blocks[0].kl()
-        for block in self.blocks[1:]:
-            total = total + block.kl()
-        return total
+        return sum((block.kl() for block in self.blocks[1:]), self.blocks[0].kl())
 
     def parts(self) -> "dict[str, Layer]":
-        parts: "dict[str, Layer]" = {f"block{i}": block for i, block in enumerate(self.blocks)}
-        parts["hidden"] = self.hidden
-        parts["head"] = self.head
-        return parts
+        blocks = {f"block{i}": block for i, block in enumerate(self.blocks)}
+        return {**blocks, "hidden": self.hidden, "head": self.head}
 
 
 def segments_to_batch(segments) -> np.ndarray:

@@ -187,20 +187,31 @@ def preprocess_recording(rec: Recording) -> "tuple[list[Segment], list[RejectedW
     return segments, rejected
 
 
+def snr_power_ratio(snr_db: float, what: str = "SNR") -> float:
+    """10^(snr_db/10); a ConfigError naming ``what`` unless it and its
+    reciprocal are finite, nonzero floats (|snr_db| up to about 3082 dB)."""
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = np.inf
+    if not (0.0 < ratio < np.inf and 1.0 / ratio < np.inf):    # NaN fails too
+        raise ConfigError(f"{what} must be +inf or within about +-3082 dB, got {snr_db}")
+    return ratio
+
+
 def inject_noise_snr(seg: Segment, snr_db: float, rng: Rng) -> Segment:
     """Add white Gaussian noise at the given SNR, then re-normalize.
 
     The noise power is P_signal / 10^(snr_db/10), measured against the
     segment before renormalization.  An SNR of +inf is the no-noise
-    sentinel and returns the segment unchanged; NaN and -inf are errors.
+    sentinel and returns the segment unchanged; see ``snr_power_ratio``
+    for the errors.
     """
     if snr_db == np.inf:
         return seg
-    if not np.isfinite(snr_db):
-        raise ConfigError(f"SNR must be finite or +inf, got {snr_db}")
     values = np.asarray(seg.values, dtype=np.float64)  # float32 cache rows widen exactly
     p_signal = float(np.mean(values ** 2))
-    p_noise = p_signal / (10.0 ** (snr_db / 10.0))
+    p_noise = p_signal / snr_power_ratio(snr_db)
     noisy = values + rng.normal(len(values)) * np.sqrt(p_noise)
     noisy = noisy - noisy.mean()
     peak = np.max(np.abs(noisy))

@@ -274,6 +274,16 @@ def test_bad_flag_value_is_a_config_error(tmp_path, flag, value, field):
     assert not (tmp_path / "run").exists()
 
 
+def test_robustness_rejects_an_snr_past_float_range(tmp_path):
+    # -4000 dB underflows 10^(snr/10) to zero; the flag is refused before
+    # any cache or checkpoint is read
+    rc, _, err = run_cli(["robustness", "--snr-list=-4000", "--outdir", tmp_path / "rob"])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:") and "snr_list" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "rob").exists()
+
+
 # spawned pool workers start with numpy's default error state, not a forked copy
 SPAWN_MAIN = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
               "from qivcnet.cli import main; sys.exit(main())")
@@ -508,6 +518,32 @@ def test_eval_refuses_a_checkpoint_with_conv_biases(pipeline, tmp_path):
     assert rc == 2
     assert err.startswith("error code=2 kind=config:") and err.count("\n") == 1
     assert "block0.fwd_conv.mu_b" in err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("old_echo", [False, True])
+def test_eval_refuses_a_checkpoint_with_two_conv_batch_norms(pipeline, tmp_path, old_echo):
+    # the layout from before both variational convs ran as one stage:
+    # bn_fwd and bn_bwd where bn_conv now holds their channels side by side,
+    # and a network echo that still carried kl_scale
+    arrays, meta = load_checkpoint(pipeline["checkpoint"])
+    old = {}
+    for name, arr in arrays.items():
+        if ".bn_conv." in name:
+            half = len(arr) // 2
+            old[name.replace("bn_conv", "bn_fwd")] = arr[:half]
+            old[name.replace("bn_conv", "bn_bwd")] = arr[half:]
+        else:
+            old[name] = arr
+    if old_echo:
+        meta = {**meta, "network": {**meta["network"], "kl_scale": 1e-5}}
+    save_checkpoint(tmp_path / "old.bin", old, meta)
+    rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
+                          "--checkpoint", tmp_path / "old.bin",
+                          "--outdir", tmp_path / "eval"])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:") and err.count("\n") == 1
+    assert ("kl_scale" if old_echo else "block0.bn_bwd.beta") in err
     assert not (tmp_path / "eval").exists()
 
 

@@ -118,6 +118,8 @@ def test_resolve_validates(tmp_path):
         resolve_config(None, {"ema_decay": 1.5})
     with pytest.raises(ConfigError):
         resolve_config(None, {"bn_momentum": 7.0})
+    with pytest.raises(ConfigError, match="kl_scale"):
+        resolve_config(None, {"kl_scale": -1.0})
 
 
 # ----------------------------------------------------------------- derived
@@ -140,6 +142,18 @@ def test_snr_values_custom():
     assert cfg.snr_values() == [30.0, 10.0, 5.0]
     with pytest.raises(ConfigError):
         RunConfig(snr_list="").snr_values()
+
+
+@pytest.mark.parametrize("snr_list", ["-4000", "-3100", "4000", "10,4000"])
+def test_snr_values_past_float_range_are_rejected(snr_list):
+    # 10^(snr/10) or its reciprocal leaves the finite nonzero floats here:
+    # noise injection would divide by zero, overflow or return NaN
+    with pytest.raises(ConfigError, match="snr_list"):
+        RunConfig(snr_list=snr_list)
+
+
+def test_snr_values_at_the_edge_of_float_range_are_accepted():
+    assert RunConfig(snr_list="-3082,3082,inf").snr_values() == [-3082.0, 3082.0, float("inf")]
 
 
 # -------------------------------------------------------------------- echo
@@ -175,11 +189,11 @@ def test_default_config_text_bytes_are_pinned():
 def test_network_echo_json_bytes_are_pinned():
     cfg = NetworkConfig(blocks=((4, 3), (6, 5)), classifier_width=8,
                         qire=QireConfig(k=3, p=0.1, rescale_sqrt_n=True),
-                        prior_var=0.02, kl_scale=0.0, bn_momentum=0.2,
+                        prior_var=0.02, bn_momentum=0.2,
                         activation="tanh", pool_between=False, seed=9)
     assert json.dumps(config_to_dict(cfg), sort_keys=True) == (
         '{"activation": "tanh", "blocks": [[4, 3], [6, 5]], "bn_momentum": 0.2, '
-        '"classifier_width": 8, "kl_scale": 0.0, "pool_between": false, '
+        '"classifier_width": 8, "pool_between": false, '
         '"prior_var": 0.02, "qire": {"k": 3, "p": 0.1, "rescale_sqrt_n": true}, '
         '"seed": 9}')
 

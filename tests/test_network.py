@@ -10,9 +10,10 @@ from helpers import fd_grad, graph_bytes, rel_err
 from qivcnet import autodiff as ad
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
+from qivcnet.config import RunConfig
 from qivcnet.dataio import load_segment_cache, save_segment_cache
 from qivcnet.errors import ConfigError
-from qivcnet.layers import named_arrays
+from qivcnet.layers import BatchNorm, named_arrays
 from qivcnet.losses import LossWeights, composite_loss, one_hot
 from qivcnet.network import (
     NetworkConfig,
@@ -29,6 +30,7 @@ from qivcnet.qire import QireConfig
 from qivcnet.rng import Rng
 from qivcnet.variational import total_loss
 
+KL_SCALE = RunConfig().kl_scale
 MICRO = NetworkConfig(blocks=((2, 3), (3, 3)), classifier_width=3,
                       qire=QireConfig(k=2, p=0.05), seed=0)
 
@@ -61,15 +63,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         NetworkConfig(prior_var=0.0)
     with pytest.raises(ConfigError):
-        NetworkConfig(kl_scale=-1.0)
-    with pytest.raises(ConfigError):
         NetworkConfig(activation="swish")
 
 
 def test_config_dict_round_trip():
     cfg = NetworkConfig(blocks=((4, 3), (6, 5)), classifier_width=8,
                         qire=QireConfig(k=3, p=0.1, rescale_sqrt_n=True),
-                        prior_var=0.02, kl_scale=1e-4, bn_momentum=0.2, seed=9)
+                        prior_var=0.02, bn_momentum=0.2, seed=9)
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
@@ -164,19 +164,79 @@ def test_segments_to_batch_widens_cached_rows_exactly(tmp_path):
 
 # ---------------------------------------------------------------- reversal
 
-def test_backward_path_mirrors_forward_path_when_tied():
+def _variational_stage(blk: RfrBlock, x: Tensor, training: bool) -> np.ndarray:
+    """The block's merged variational conv stage on the posterior means."""
+    w = ad.concat([blk.fwd_conv.kernel(False), blk.bwd_conv.kernel(False)])
+    return blk._conv_stage(blk.bn_conv, x, w, training).data
+
+
+def _moved_off_fresh(bn: BatchNorm, rng) -> None:
+    """Running statistics and affine terms away from mean 0, var 1, gamma 1,
+    beta 0, any of which would hide a half that meets the wrong channels."""
+    bn.running_mean[:] = rng.normal(size=bn.running_mean.shape) * 0.5
+    bn.running_var[:] = rng.uniform(0.3, 2.0, size=bn.running_var.shape)
+    bn.gamma.data[:] = rng.uniform(0.3, 2.0, size=bn.gamma.shape)
+    bn.beta.data[:] = rng.normal(size=bn.beta.shape) * 0.5
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_bwd_half_is_the_reversed_path_with_a_flipped_kernel(width, training):
+    # A "same"-padded conv of the reversed signal, reversed back, is the
+    # forward conv with its kernel flipped in time (odd widths); batch norm
+    # and the activation act per channel and element, so they commute with
+    # the reversal.
+    F = 3
+    blk = QivcNet(NetworkConfig(blocks=((F, width),), classifier_width=4, seed=6)).blocks[0]
+    _moved_off_fresh(blk.bn_conv, np.random.default_rng(width))
+    ref_bn = BatchNorm(F)     # the bwd channels' half of the merged batch norm
+    ref_bn.load_state({k: v[F:].copy() for k, v in blk.bn_conv.state_arrays().items()})
+    x = Tensor(Rng(5).normal((2, 16, 1)))
+    got = _variational_stage(blk, x, training)[..., F:]
+    flipped = Tensor(blk.bwd_conv.mu_w.data[::-1].copy())
+    want = ad.reverse_time(blk._conv_stage(ref_bn, ad.reverse_time(x), flipped, training)).data
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_tied_kernels_give_equal_halves_on_any_signal(training):
     cfg = NetworkConfig(blocks=((4, 7),), classifier_width=4, seed=2)
     blk = QivcNet(cfg).blocks[0]
-    for src, dst in zip(blk.fwd_conv.parameters(), blk.bwd_conv.parameters()):
-        dst.data = src.data.copy()
-    x = Tensor(Rng(5).normal((2, 16, 1)))
-    rx = Tensor(np.ascontiguousarray(x.data[:, ::-1, :]))
-    _, f1, b1 = blk.path_features(x, training=False, rng=None)
-    _, f2, b2 = blk.path_features(rx, training=False, rng=None)
-    # with identical kernels, the backward path is exactly the forward path
-    # run on the reversed signal, flipped back
-    assert np.array_equal(b1.data, f2.data[:, ::-1, :])
-    assert np.array_equal(b2.data, f1.data[:, ::-1, :])
+    blk.bwd_conv.mu_w.data = blk.fwd_conv.mu_w.data.copy()
+    fb = _variational_stage(blk, Tensor(Rng(5).normal((2, 16, 1))), training)
+    assert np.array_equal(fb[..., :4], fb[..., 4:])
+
+
+def test_untied_halves_differ():
+    blk = QivcNet(MICRO).blocks[0]
+    fb = _variational_stage(blk, Tensor(Rng(5).normal((2, 16, 1))), training=False)
+    assert not np.allclose(fb[..., :2], fb[..., 2:])
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_block_runs_both_variational_kernels_as_one_stage(monkeypatch, training):
+    # one conv and one batch norm for both variational kernels, whose output
+    # is the fusion LSTM's single input; nothing is reversed in time
+    seen = []
+
+    def spy(name, summary):
+        op = getattr(ad, name)
+
+        def watched(*args, **kwargs):
+            seen.append((name, summary(*args)))
+            return op(*args, **kwargs)
+        monkeypatch.setattr(ad, name, watched)
+
+    spy("conv1d", lambda x, w, b=None: w.shape)
+    spy("batch_norm", lambda x, *rest: x.shape[-1])
+    spy("lstm", lambda x, *rest: len(x) if isinstance(x, list) else 1)
+    spy("reverse_time", lambda a: a.shape)
+    blk = QivcNet(NetworkConfig(blocks=((4, 5),), classifier_width=4, seed=2)).blocks[0]
+    blk.forward(Tensor(Rng(5).normal((2, 16, 1))), training, rng=Rng(3))
+    stages = [("conv1d", (1, 1, 4)), ("batch_norm", 4), ("conv1d", (5, 1, 8)), ("batch_norm", 8)]
+    if not training:    # the conv stages fold their batch norms
+        stages = stages[::2]
+    assert seen == [*stages, ("lstm", 1), ("batch_norm", 4), ("lstm", 2), ("batch_norm", 4)]
 
 
 def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
@@ -204,26 +264,9 @@ def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
         for p in net.parameters():
             p.grad = None
     folded, reference = runs
-    assert folded.keys() == reference.keys() and "block0.bn_fwd.gamma" in folded
+    assert folded.keys() == reference.keys() and "block0.bn_conv.gamma" in folded
     for key, want in reference.items():
         assert np.max(np.abs(folded[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
-
-
-def test_paths_agree_on_constant_signal_with_tied_width_one_kernels():
-    cfg = NetworkConfig(blocks=((3, 1),), classifier_width=4, seed=4)
-    blk = QivcNet(cfg).blocks[0]
-    for src, dst in zip(blk.fwd_conv.parameters(), blk.bwd_conv.parameters()):
-        dst.data = src.data.copy()
-    x = Tensor(np.full((2, 10, 1), 0.37))
-    _, f, b = blk.path_features(x, training=False, rng=None)
-    assert np.array_equal(f.data, b.data)
-
-
-def test_untied_paths_differ():
-    blk = QivcNet(MICRO).blocks[0]
-    x = Tensor(Rng(5).normal((2, 16, 1)))
-    _, f, b = blk.path_features(x, training=False, rng=None)
-    assert not np.allclose(f.data, b.data)
 
 
 # ---------------------------------------------------- train/infer agreement
@@ -269,8 +312,8 @@ def test_load_state_rejects_missing_arrays():
 def test_load_state_rejects_unexpected_arrays():
     small = QivcNet(NetworkConfig(blocks=((2, 3),), classifier_width=3, seed=0))
     big = QivcNet(MICRO)
-    # 66 arrays offered, 35 used
-    with pytest.raises(ConfigError, match=r"lacks 0 arrays .* has 31 .* \['block1\."):
+    # 58 arrays offered, 31 used
+    with pytest.raises(ConfigError, match=r"lacks 0 arrays .* has 27 .* \['block1\."):
         small.load_state(big.state_arrays())
 
 
@@ -289,7 +332,7 @@ def test_untrained_default_checkpoint_bytes_are_pinned(tmp_path):
     save_checkpoint(path, QivcNet(cfg).state_arrays(),
                     {"network": config_to_dict(cfg), "fold": 0})
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "7d6a3bec7b81a2801438c590c6cf8b8ac1ba86fabe269e348e85a1872c1d6d15"
+    assert digest == "0f3c280393d68203b6a65e171aa1d0fb96bef73c2c475256d5ee9d5568e197a2"
 
 
 def test_named_parameters_follow_checkpoint_names():
@@ -331,8 +374,8 @@ def test_parameter_inventory_micro_block():
     cfg = NetworkConfig(blocks=((2, 3),), classifier_width=3, seed=0)
     net = QivcNet(cfg)
     # per block: two bias-free variational convs 2*(2*3*1*2), shortcut 1*1*2,
-    # two lstms (4*8 + 2*8 + 8), five batch norms 2*2 each
-    block = 2 * (2 * 6) + 2 + 2 * (32 + 16 + 8) + 5 * 4
+    # two lstms (4*8 + 2*8 + 8), a 4-channel and three 2-channel batch norms
+    block = 2 * (2 * 6) + 2 + 2 * (32 + 16 + 8) + 2 * 4 + 3 * (2 * 2)
     dense = (2 * 3 + 3) + (3 * 2 + 2)
     total = sum(p.data.size for p in net.parameters())
     assert total == block + dense
@@ -358,7 +401,7 @@ def _default_objective() -> "tuple[QivcNet, Tensor]":
     x = Tensor(Rng(22).normal((4, 64, 1)))
     probs = net.forward(x, training=True, rng=Rng(23))
     task, _, _ = composite_loss(probs, one_hot(np.array([0, 1, 0, 1])), LossWeights())
-    return net, total_loss(task, net.kl(), cfg.kl_scale)
+    return net, total_loss(task, net.kl(), KL_SCALE)
 
 
 def test_training_graph_holds_only_what_backward_needs():
@@ -366,7 +409,7 @@ def test_training_graph_holds_only_what_backward_needs():
     # what its backward cannot cheaply rebuild, so a change that starts to
     # save a centred input, an im2col matrix, a joined LSTM input or a second
     # copy of the hidden states again fails here.
-    assert graph_bytes(_default_objective()[1]) == 2_318_504
+    assert graph_bytes(_default_objective()[1]) == 2_377_672
 
 
 # ---------------------------------------------------------------- gradients
@@ -389,7 +432,7 @@ def test_network_gradients_match_finite_differences():
     def loss_value():
         probs = net.forward(Tensor(x), training=True, rng=Rng(17))
         task, _, _ = composite_loss(probs, y, LossWeights())
-        return total_loss(task, net.kl(), cfg.kl_scale)
+        return total_loss(task, net.kl(), KL_SCALE)
 
     loss = loss_value()
     ad.backward(loss)
@@ -438,10 +481,10 @@ def test_relu_network_gradients_match_finite_differences(monkeypatch):
     def loss_value():
         probs = net.forward(Tensor(x), training=True, rng=Rng(18))
         task, _, _ = composite_loss(probs, y, LossWeights())
-        return total_loss(task, net.kl(), cfg.kl_scale)
+        return total_loss(task, net.kl(), KL_SCALE)
 
     loss = loss_value()
-    assert len(smallest) == 11 and min(smallest) > 1e-3
+    assert len(smallest) == 9 and min(smallest) > 1e-3
     ad.backward(loss)
     tensors = {id(p.data): p for p in net.parameters()}
     f = lambda: float(loss_value().data)

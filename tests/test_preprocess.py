@@ -333,6 +333,15 @@ def test_inject_rejects_nan_and_minus_infinity(snr_db):
         inject_noise_snr(seg, snr_db, Rng(2))
 
 
+@pytest.mark.parametrize("snr_db", [-4000.0, -3100.0, 4000.0])
+def test_inject_rejects_snrs_past_float_range(snr_db):
+    # 10^(snr/10) underflows to 0 (division by zero), overflows, or leaves a
+    # reciprocal past the float range (NaN values) at these SNRs
+    seg = finalize_segment(Rng(1).normal((1600,)), FS, "normal", "r", 0)
+    with pytest.raises(ConfigError, match="SNR"):
+        inject_noise_snr(seg, snr_db, Rng(2))
+
+
 def test_inject_matches_formula_replay():
     seg = finalize_segment(Rng(1).normal((1600,)), FS, "normal", "r", 0)
     got = inject_noise_snr(seg, 15.0, Rng(7))
