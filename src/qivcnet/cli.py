@@ -14,7 +14,8 @@ Every command resolves its configuration as defaults <- ``--config`` file
 <- explicit flags, validates it before doing any work, echoes the resolved
 form to ``<outdir>/config.txt`` once it succeeds, and on failure removes the
 outdir if it made it and prints a one-line machine-parsable reason.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numerical failure.
+0 success, 2 configuration error, 3 data error (including a file the command
+could not read or write), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def cmd_preprocess(cfg: RunConfig, outdir: Path) -> None:
         raise ConfigError("preprocess needs --manifest")
     if not Path(cfg.cache).parent.is_dir():
         raise ConfigError(f"the directory of --cache {cfg.cache} does not exist")
+    if Path(cfg.cache).is_dir():
+        raise ConfigError(f"--cache {cfg.cache} is a directory")
     rejected, n_recordings = [], 0
 
     def kept_segments():
@@ -213,16 +216,18 @@ def main(argv: "list[str] | None" = None) -> int:
         cfg = resolve_config(args.config, flags)
         outdir = Path(cfg.outdir)
         created = None if outdir.exists() else outdir
-        outdir.mkdir(parents=True, exist_ok=True)
-        # the finite checks raise NumericalError, so numpy's warnings add nothing;
-        # training.train hands this error state to its --jobs workers
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise ConfigError(f"cannot create --outdir {outdir}: {exc.strerror}") from exc
+        # the finite checks raise NumericalError, so numpy's warnings add nothing
         with np.errstate(all="ignore"):
             COMMANDS[args.command](cfg, outdir)
         dataio.publish(outdir / "config.txt", lambda tmp: tmp.write_text(config_text(cfg)))
         return EXIT_OK
     except (ConfigError, ShapeError) as exc:
         return _fail(EXIT_CONFIG, "config", exc, created)
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file it could not read or write
         return _fail(EXIT_DATA, "data", exc, created)
     except QivcError as exc:
         return _fail(EXIT_NUMERICAL, "numerical", exc, created)

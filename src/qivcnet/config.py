@@ -40,10 +40,8 @@ class RunConfig:
     kl_scale: float = 1e-5
     # architecture: comma-separated filtersxwidth pairs
     blocks: str = "16x7,32x7"
-    pool_between: bool = True
     classifier_width: int = 32
     activation: str = "relu"
-    bn_momentum: float = 0.1
     # training
     lr: float = 1e-3
     batch: int = 256
@@ -52,10 +50,7 @@ class RunConfig:
     folds: int = 5
     fold_index: int = -1
     val_fraction: float = 0.1
-    dynamic_weights: bool = True
-    ema_decay: float = 0.9
     group_by_recording: bool = False
-    jobs: int = 1
     seed: int = 0
     # evaluation sweeps and diagnostics
     snr_list: str = "25,20,15,10,5"
@@ -79,14 +74,10 @@ class RunConfig:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError(f"val fraction must be in (0, 1), got {self.val_fraction}")
-        if not 0.0 < self.ema_decay < 1.0:
-            raise ConfigError(f"EMA decay must be in (0, 1), got {self.ema_decay}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not -1 <= self.fold_index < self.folds:
             raise ConfigError(f"fold_index must be in [-1, folds), got {self.fold_index}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
@@ -170,6 +161,7 @@ def load_config_file(path: "str | Path") -> "dict[str, object]":
     if not path.is_file():
         raise ConfigError(f"missing config file: {path}")
     overrides: "dict[str, object]" = {}
+    seen: "dict[str, int]" = {}  # key -> the line that set it
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -179,6 +171,9 @@ def load_config_file(path: "str | Path") -> "dict[str, object]":
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in FIELD_KINDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         overrides[key] = _convert(key, FIELD_KINDS[key], raw)
     return overrides
 

@@ -10,10 +10,11 @@ For one-hot targets and probability rows this reduces to one minus the
 mean predicted probability of the true class, and it is exactly zero for a
 perfect prediction.
 
-Dynamic weighting keeps an exponential moving average of each component
-and assigns each a weight proportional to its own average, renormalized so
-the two weights always sum to 2 (equal weighting is the fixed point when
-both components are equal).
+Dynamic weighting, always on in training, keeps an exponential moving
+average (decay 0.9, updated once per epoch) of each component and assigns
+each a weight proportional to its own average, renormalized so the two
+weights always sum to 2 (equal weighting is the fixed point when both
+components are equal).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LOG_EPS, Tensor
-from .errors import ConfigError, NumericalError, ShapeError
+from .errors import NumericalError, ShapeError
 
 
 def one_hot(labels: np.ndarray, classes: int = 2) -> np.ndarray:
@@ -64,11 +65,8 @@ class LossWeights:
     w_dice: float = 1.0
     ema_cce: "float | None" = None
     ema_dice: "float | None" = None
-    decay: float = 0.9
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay < 1.0:
-            raise ConfigError(f"EMA decay must be in (0, 1), got {self.decay}")
+    DECAY = 0.9
 
     def update(self, cce_value: float, dice_value: float) -> None:
         """Fold fresh component values into the EMAs and renormalize weights."""
@@ -78,8 +76,8 @@ class LossWeights:
             self.ema_cce = float(cce_value)
             self.ema_dice = float(dice_value)
         else:
-            self.ema_cce = self.decay * self.ema_cce + (1.0 - self.decay) * cce_value
-            self.ema_dice = self.decay * self.ema_dice + (1.0 - self.decay) * dice_value
+            self.ema_cce = self.DECAY * self.ema_cce + (1.0 - self.DECAY) * cce_value
+            self.ema_dice = self.DECAY * self.ema_dice + (1.0 - self.DECAY) * dice_value
         total = self.ema_cce + self.ema_dice
         if total <= 0.0:
             self.w_cce = 1.0

@@ -37,12 +37,10 @@ class NetworkConfig:
     """Architecture and regularization settings for one network."""
 
     blocks: "tuple[tuple[int, int], ...]" = ((16, 7), (32, 7))  # (filters, kernel width)
-    pool_between: bool = True
     classifier_width: int = 32
     qire: QireConfig = field(default_factory=QireConfig)
     prior_var: float = 0.01
     activation: str = "relu"
-    bn_momentum: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,8 +57,6 @@ class NetworkConfig:
             raise ConfigError(f"prior_var must be finite and > 0, got {self.prior_var}")
         if self.activation not in ad.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if not 0.0 < self.bn_momentum <= 1.0:
-            raise ConfigError(f"bn_momentum must be in (0, 1], got {self.bn_momentum}")
 
 
 def config_to_dict(cfg: NetworkConfig) -> dict:
@@ -101,9 +97,8 @@ class RfrBlock(Layer):
                                requires_grad=True)
         self.fusion_lstm = LSTM(2 * filters, filters, rng)
         self.refine_lstm = LSTM(2 * filters, filters, rng)
-        bn = lambda channels: BatchNorm(channels, momentum=cfg.bn_momentum)
-        self.bn_conv = bn(2 * filters)     # the fwd kernel's channels, then the bwd kernel's
-        self.bn_short, self.bn_fuse, self.bn_refine = bn(filters), bn(filters), bn(filters)
+        self.bn_conv = BatchNorm(2 * filters)   # the fwd kernel's channels, then the bwd kernel's
+        self.bn_short, self.bn_fuse, self.bn_refine = (BatchNorm(filters) for _ in range(3))
 
     def _norm_act(self, bn: BatchNorm, x: Tensor, training: bool) -> Tensor:
         """Batch norm then the block activation (one node for ReLU)."""
@@ -153,7 +148,7 @@ class QivcNet(Layer):
         """Bottleneck vector: block stack, pooling, global max pool -> (B, C)."""
         for i, block in enumerate(self.blocks):
             x = block.forward(x, training, rng)
-            if self.cfg.pool_between and i + 1 < len(self.blocks):
+            if i + 1 < len(self.blocks):
                 x = ad.max_pool(x)
         return ad.global_max_pool(x)
 

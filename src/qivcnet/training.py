@@ -8,18 +8,17 @@ checkpoint (strict improvement) or burn patience; when patience is
 exhausted the best checkpoint is restored and the held-out test fold is
 scored.
 
-Randomness is partitioned so results do not depend on execution order:
+Randomness is partitioned so results do not depend on which folds run:
 the master seed forks once per fold (in fold order), and each fold forks
 separate streams for parameter init, batch shuffling, and weight noise.
-Folds may therefore run in parallel processes without changing any output.
+Folds run one after another in one process; a run of one fold
+(``fold_index``) writes what a full run writes for that fold.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +143,7 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
     net_cfg = cfg.network_config()
     net = QivcNet(net_cfg, rng_init)
     opt = Adam(net.parameters(), lr=cfg.lr)
-    lw = LossWeights(decay=cfg.ema_decay)
+    lw = LossWeights()
     state = TrainState(checkpoint_path=str(ckpt_path))
     val_segments = [segments[i] for i in val_idx]
     val_labels = labels[val_idx]
@@ -192,7 +191,7 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
             sums["kl"] += kl.item() * size
             seen += size
         w_cce, w_dice = lw.w_cce, lw.w_dice
-        if cfg.dynamic_weights and seen:
+        if seen:
             lw.update(sums["cce"] / seen, sums["dice"] / seen)
         val_report = evaluate_segments(net, val_segments, val_labels)
         log_rows.append((epoch, sums["loss"] / seen, sums["cce"] / seen,
@@ -222,10 +221,6 @@ def train_fold(segments, fold_index: int, train_idx: np.ndarray, test_idx: np.nd
     return FoldResult(fold=fold_index, state=state, report=report, log_rows=log_rows)
 
 
-def _fold_job(args) -> FoldResult:
-    return train_fold(*args)
-
-
 def fold_indices(split: FoldSplit, fold_index: int) -> "list[int]":
     """The folds a run trains: all of them when ``fold_index`` is -1."""
     if fold_index < 0:
@@ -237,24 +232,17 @@ def fold_indices(split: FoldSplit, fold_index: int) -> "list[int]":
 
 def train(segments, split: FoldSplit, cfg: RunConfig,
           outdir: "str | Path") -> "list[FoldResult]":
-    """Train all folds (or ``cfg.fold_index``), sequentially or in ``cfg.jobs``
-    parallel processes.
+    """Train all folds (or ``cfg.fold_index``) one after another.
 
     Per-fold rngs are forked from the master seed before any work starts,
-    so the artifacts are identical regardless of ``jobs`` or ``fold_index``.
+    so a fold's artifacts do not depend on ``fold_index``.
     """
     outdir = Path(outdir)
     master = Rng(cfg.seed)
     fold_rngs = [master.fork() for _ in range(split.k)]
-    tasks = [(segments, i, split.train_indices(i), split.test_indices(i),
-              cfg, fold_rngs[i], outdir / f"fold{i}")
-             for i in fold_indices(split, cfg.fold_index)]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        # workers that are spawned rather than forked get numpy's error state here
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks)),
-                                 initializer=partial(np.seterr, **np.geterr())) as pool:
-            return list(pool.map(_fold_job, tasks))
-    return [_fold_job(t) for t in tasks]
+    return [train_fold(segments, i, split.train_indices(i), split.test_indices(i),
+                       cfg, fold_rngs[i], outdir / f"fold{i}")
+            for i in fold_indices(split, cfg.fold_index)]
 
 
 METRICS_CSV_HEADER = ("fold",) + MetricsReport.CSV_HEADER + ("best_val_f1", "best_epoch")

@@ -1,5 +1,7 @@
 """Checkpoint container: round trips, checksum, corruption handling."""
 
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,30 @@ def test_crc_detects_corruption(tmp_path):
     blob[flip] ^= 0x40
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="checksum"):
+        load_checkpoint(path)
+
+
+def _set_version(body):
+    body[0:2] = struct.pack("<H", 2)
+
+
+def _set_first_kind(body):
+    # version u16, count u32, then the only entry: name length u16, "meta", kind u8
+    body[6 + 2 + len("meta")] = 7
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_version, "unsupported checkpoint version 2"),
+    (_set_first_kind, "unknown entry kind 7"),
+])
+def test_well_formed_but_unknown_layout_is_rejected(tmp_path, edit, message):
+    # the edited body gets a fresh checksum, so only the layout check can catch it
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, {}, {"only": "meta"})
+    body = bytearray(path.read_bytes()[len(MAGIC): -4])
+    edit(body)
+    path.write_bytes(MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
 

@@ -255,7 +255,7 @@ def test_failed_rerun_keeps_the_earlier_run(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, field", [
-    ("--pool-between", "maybe", "pool_between"),
+    ("--group-by-recording", "maybe", "group_by_recording"),
     ("--epochs", "abc", "epochs"),
     ("--lr", "fast", "lr"),
     # NaN fails every range check, and +inf is out of range for these three
@@ -284,22 +284,14 @@ def test_robustness_rejects_an_snr_past_float_range(tmp_path):
     assert not (tmp_path / "rob").exists()
 
 
-# spawned pool workers start with numpy's default error state, not a forked copy
-SPAWN_MAIN = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
-              "from qivcnet.cli import main; sys.exit(main())")
-
-
 def test_console_failures_print_one_line_and_leave_no_outdir(pipeline, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    blow_up = ["--cache", pipeline["cache"], *TRAIN_FLAGS,
-               "--jobs", "2", "--lr", "1e300", "--batch", "2"]
-    runs = [(["-m", "qivcnet"], ["--pool-between", "maybe"], 2),
-            (["-m", "qivcnet"], blow_up, 4),
-            (["-c", SPAWN_MAIN], blow_up, 4)]
-    for i, (entry, flags, code) in enumerate(runs):
+    blow_up = ["--cache", pipeline["cache"], *TRAIN_FLAGS, "--lr", "1e300", "--batch", "2"]
+    runs = [(["--group-by-recording", "maybe"], 2), (blow_up, 4)]
+    for i, (flags, code) in enumerate(runs):
         outdir = tmp_path / f"run{i}"
         proc = subprocess.run(
-            [sys.executable, *entry, "train", *map(str, flags), "--outdir", str(outdir)],
+            [sys.executable, "-m", "qivcnet", "train", *map(str, flags), "--outdir", str(outdir)],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == code
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
@@ -378,6 +370,49 @@ def test_preprocess_cache_in_a_missing_directory_is_a_config_error(tmp_path):
     assert str(cache) in err
     assert not (tmp_path / "prep").exists()
     assert not (tmp_path / "missing").exists()
+
+
+def test_preprocess_cache_that_is_a_directory_is_a_config_error(tmp_path):
+    # the WAV is unreadable, so exit 2 rather than 3 shows no WAV was read
+    manifest = write_wav_dataset(tmp_path / "data", 2, Rng(4), seconds=4.0)
+    (tmp_path / "data" / "wavs" / "syn0000.wav").write_bytes(b"RIFF-not-really")
+    cache = tmp_path / "cache.qivc"
+    cache.mkdir()
+    rc, _, err = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                          "--outdir", tmp_path / "prep"])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:") and err.count("\n") == 1
+    assert str(cache) in err
+    assert not (tmp_path / "prep").exists()
+    assert cache.is_dir() and list(cache.iterdir()) == []
+
+
+def test_preprocess_unwritable_cache_is_a_data_error(tmp_path):
+    # a directory where the cache's temporary file goes makes the write fail
+    # with an OSError, which exits 3 in one line and takes the new outdir along
+    manifest = write_wav_dataset(tmp_path / "data", 2, Rng(4), seconds=4.0)
+    cache = tmp_path / "segments.qivc"
+    (tmp_path / "segments.qivc.tmp").mkdir()
+    rc, _, err = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                          "--outdir", tmp_path / "prep"])
+    assert rc == 3
+    assert err.startswith("error code=3 kind=data:") and err.count("\n") == 1
+    assert "segments.qivc.tmp" in err
+    assert not cache.exists()
+    assert not (tmp_path / "prep").exists()
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_outdir_that_cannot_be_a_directory_is_a_config_error(tmp_path, below):
+    # an existing file as the outdir, or as one of its parents
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    outdir = taken / "run" if below else taken
+    rc, _, err = run_cli(["noise-stats", "--trials", "5", "--outdir", outdir])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:") and err.count("\n") == 1
+    assert str(outdir) in err
+    assert taken.read_text() == "keep me\n"
 
 
 def test_preprocess_memory_does_not_grow_with_the_corpus(tmp_path):
@@ -544,6 +579,21 @@ def test_eval_refuses_a_checkpoint_with_two_conv_batch_norms(pipeline, tmp_path,
     assert rc == 2
     assert err.startswith("error code=2 kind=config:") and err.count("\n") == 1
     assert ("kl_scale" if old_echo else "block0.bn_bwd.beta") in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_refuses_a_checkpoint_that_echoes_removed_settings(pipeline, tmp_path):
+    # bn_momentum and pool_between are constants now; an echo that still
+    # carries them comes from older code and is refused by name
+    arrays, meta = load_checkpoint(pipeline["checkpoint"])
+    meta = {**meta, "network": {**meta["network"], "bn_momentum": 0.1, "pool_between": True}}
+    save_checkpoint(tmp_path / "old.bin", arrays, meta)
+    rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
+                          "--checkpoint", tmp_path / "old.bin",
+                          "--outdir", tmp_path / "eval"])
+    assert rc == 2
+    assert err.startswith("error code=2 kind=config:") and err.count("\n") == 1
+    assert "unexpected keys ['bn_momentum', 'pool_between']" in err
     assert not (tmp_path / "eval").exists()
 
 

@@ -42,12 +42,12 @@ def test_load_config_file(tmp_path):
         "lr = 0.01   # trailing comment\n"
         "\n"
         "blocks = 4x3,6x3\n"
-        "pool_between = false\n"
+        "group_by_recording = true\n"
         "epochs=20\n"
         "seed = 7\n")
     overrides = load_config_file(p)
     assert overrides == {"lr": 0.01, "blocks": "4x3,6x3",
-                         "pool_between": False, "epochs": 20, "seed": 7}
+                         "group_by_recording": True, "epochs": 20, "seed": 7}
 
 
 def test_load_config_file_errors(tmp_path):
@@ -63,17 +63,25 @@ def test_load_config_file_errors(tmp_path):
     p.write_text("epochs = soon\n")
     with pytest.raises(ConfigError, match="expected int"):
         load_config_file(p)
-    p.write_text("pool_between = maybe\n")
+    p.write_text("group_by_recording = maybe\n")
     with pytest.raises(ConfigError, match="expected bool"):
         load_config_file(p)
+    p.write_text("lr = 0.1\nseed = 3\nlr = 0.2\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:3: key 'lr' already set on line 1"):
+        load_config_file(p)
+    # settings that became constants are unknown keys, not silently ignored
+    for removed in ("jobs", "dynamic_weights", "ema_decay", "bn_momentum", "pool_between"):
+        p.write_text(f"{removed} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{removed}'"):
+            load_config_file(p)
 
 
 def test_bool_words(tmp_path):
     p = tmp_path / "b.cfg"
     for word, value in (("true", True), ("YES", True), ("1", True),
                         ("false", False), ("No", False), ("0", False)):
-        p.write_text(f"dynamic_weights = {word}\n")
-        assert load_config_file(p)["dynamic_weights"] is value
+        p.write_text(f"group_by_recording = {word}\n")
+        assert load_config_file(p)["group_by_recording"] is value
 
 
 # -------------------------------------------------------------- precedence
@@ -109,15 +117,9 @@ def test_resolve_validates(tmp_path):
     with pytest.raises(ConfigError):
         resolve_config(None, {"trials": 0})
     with pytest.raises(ConfigError):
-        resolve_config(None, {"jobs": 0})
-    with pytest.raises(ConfigError):
         resolve_config(None, {"fold_index": -2})
     with pytest.raises(ConfigError):
         resolve_config(None, {"fold_index": 5, "folds": 5})
-    with pytest.raises(ConfigError):
-        resolve_config(None, {"ema_decay": 1.5})
-    with pytest.raises(ConfigError):
-        resolve_config(None, {"bn_momentum": 7.0})
     with pytest.raises(ConfigError, match="kl_scale"):
         resolve_config(None, {"kl_scale": -1.0})
 
@@ -159,7 +161,7 @@ def test_snr_values_at_the_edge_of_float_range_are_accepted():
 # -------------------------------------------------------------------- echo
 
 def test_config_text_round_trips(tmp_path):
-    cfg = resolve_config(None, {"lr": 0.0025, "blocks": "4x3", "pool_between": False,
+    cfg = resolve_config(None, {"lr": 0.0025, "blocks": "4x3", "group_by_recording": True,
                                 "classifier_width": 8, "seed": 11})
     text = config_text(cfg)
     p = tmp_path / "echo.cfg"
@@ -167,7 +169,7 @@ def test_config_text_round_trips(tmp_path):
     again = resolve_config(str(p), {})
     assert again == cfg
     assert "lr = 0.0025" in text
-    assert "pool_between = false" in text
+    assert "group_by_recording = true" in text
 
 
 # --------------------------------------------------------------------- pins
@@ -175,10 +177,10 @@ def test_config_text_round_trips(tmp_path):
 DEFAULT_CONFIG_TEXT = (
     "manifest = \ncache = segments.qivc\noutdir = runs/latest\ncheckpoint = \n"
     "k = 5\np = 0.05\nrescale_sqrt_n = false\nprior_var = 0.01\nkl_scale = 1e-05\n"
-    "blocks = 16x7,32x7\npool_between = true\nclassifier_width = 32\n"
-    "activation = relu\nbn_momentum = 0.1\nlr = 0.001\nbatch = 256\nepochs = 500\n"
+    "blocks = 16x7,32x7\nclassifier_width = 32\n"
+    "activation = relu\nlr = 0.001\nbatch = 256\nepochs = 500\n"
     "patience = 50\nfolds = 5\nfold_index = -1\nval_fraction = 0.1\n"
-    "dynamic_weights = true\nema_decay = 0.9\ngroup_by_recording = false\njobs = 1\n"
+    "group_by_recording = false\n"
     "seed = 0\nsnr_list = 25,20,15,10,5\ntrials = 10000\nkernel_shape = 7x16x32\n")
 
 
@@ -189,11 +191,10 @@ def test_default_config_text_bytes_are_pinned():
 def test_network_echo_json_bytes_are_pinned():
     cfg = NetworkConfig(blocks=((4, 3), (6, 5)), classifier_width=8,
                         qire=QireConfig(k=3, p=0.1, rescale_sqrt_n=True),
-                        prior_var=0.02, bn_momentum=0.2,
-                        activation="tanh", pool_between=False, seed=9)
+                        prior_var=0.02, activation="tanh", seed=9)
     assert json.dumps(config_to_dict(cfg), sort_keys=True) == (
-        '{"activation": "tanh", "blocks": [[4, 3], [6, 5]], "bn_momentum": 0.2, '
-        '"classifier_width": 8, "pool_between": false, '
+        '{"activation": "tanh", "blocks": [[4, 3], [6, 5]], '
+        '"classifier_width": 8, '
         '"prior_var": 0.02, "qire": {"k": 3, "p": 0.1, "rescale_sqrt_n": true}, '
         '"seed": 9}')
 

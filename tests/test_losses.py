@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import fd_grad, rel_err
 from qivcnet import autodiff as ad
 from qivcnet.autodiff import Tensor
-from qivcnet.errors import ConfigError, NumericalError, ShapeError
+from qivcnet.errors import NumericalError, ShapeError
 from qivcnet.losses import (
     LossWeights,
     categorical_cross_entropy,
@@ -134,7 +134,7 @@ def test_weights_first_update_seeds_ema():
 
 
 def test_weights_ema_hand_math():
-    lw = LossWeights(decay=0.9)
+    lw = LossWeights()
     lw.update(1.0, 0.5)
     lw.update(0.4, 0.3)
     # ema = 0.9 * prev + 0.1 * new
@@ -164,13 +164,6 @@ def test_weights_reject_non_finite():
         lw.update(float("nan"), 0.1)
     with pytest.raises(NumericalError):
         lw.update(0.1, float("inf"))
-
-
-def test_weights_reject_bad_decay():
-    with pytest.raises(ConfigError):
-        LossWeights(decay=0.0)
-    with pytest.raises(ConfigError):
-        LossWeights(decay=1.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -18,7 +18,8 @@ def test_every_exported_name_resolves():
 
 
 # Runs every command except ``preprocess`` in one fresh interpreter, then
-# reports the exit codes and which scipy modules got loaded along the way.
+# reports the exit codes, which scipy modules got loaded along the way, and
+# which process-pool modules did (qivcnet runs in one process).
 SCIPY_FREE_COMMANDS = """
 import contextlib, io, json, sys
 import qivcnet.cli
@@ -37,7 +38,10 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(qivcnet.cli.main([*argv, "--outdir", out + "/" + argv[0]]))
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy")),
+                  sorted(m for m in sys.modules
+                         if m.split(".")[0] == "multiprocessing"
+                         or m == "concurrent.futures.process")]))
 """
 
 
@@ -48,6 +52,7 @@ def test_only_preprocess_loads_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_COMMANDS, str(cache), str(tmp_path)],
         env=env, capture_output=True, text=True, check=True)
-    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    codes, scipy_modules, pool_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * 6
     assert scipy_modules == []
+    assert pool_modules == []

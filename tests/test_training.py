@@ -9,7 +9,6 @@ import pytest
 from qivcnet import training
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint
-from qivcnet.dataio import write_csv
 from qivcnet.errors import ConfigError, DataError, NumericalError
 from qivcnet.folds import segment_labels, stratified_kfold
 from qivcnet.metrics import compute_metrics
@@ -258,21 +257,6 @@ def test_single_fold_matches_full_run(tmp_path):
     full_bytes = (tmp_path / "all" / "fold1" / "checkpoint.bin").read_bytes()
     solo_bytes = (tmp_path / "one" / "fold1" / "checkpoint.bin").read_bytes()
     assert full_bytes == solo_bytes
-
-
-def test_process_pool_gives_byte_identical_artifacts(tmp_path):
-    segs = _separable_segments(24)
-    split = stratified_kfold(segs, k=2, seed=0)
-    cfg = RunConfig(lr=2e-3, batch=8, epochs=1, patience=2, seed=5, **MICRO)
-    for jobs in (1, 2):
-        outdir = tmp_path / f"jobs{jobs}"
-        results = train(segs, split, dataclasses.replace(cfg, jobs=jobs), outdir)
-        write_csv(outdir / "metrics.csv", METRICS_CSV_HEADER, metrics_rows(results))
-    names = ["metrics.csv"] + [f"fold{i}/{f}" for i in range(2)
-                               for f in ("checkpoint.bin", "train_log.csv")]
-    for name in names:
-        assert (tmp_path / "jobs1" / name).read_bytes() == \
-            (tmp_path / "jobs2" / name).read_bytes(), name
 
 
 def test_train_rejects_bad_fold_index(tmp_path):
