@@ -22,8 +22,8 @@ rebuild:
  - batch_norm keeps its output and the centring mean (the batch mean in
    training, the running mean it used in inference); the centred input is
    recomputed from the input, which its producer holds anyway;
- - conv1d keeps no im2col matrix and no padded input: backward works per
-   kernel tap on a fresh padding of the input;
+ - conv1d keeps no im2col matrix and no padded input: forward builds its
+   window matrix per chunk, backward works per tap on a fresh padding;
  - lstm keeps gates [i, f, o, tanh(g)] and cells (none under ``no_grad``),
    its output is the one copy of the hidden states, tanh of the cells is
    recomputed per chunk, and a list input is read part by part, never joined;
@@ -425,6 +425,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # structured ops: convolution, pooling, softmax, batch norm, LSTM
 # ---------------------------------------------------------------------
 
+_CONV_CHUNK = 1 << 18   # window elements per conv1d forward chunk; its im2col rows stay in cache
+_LSTM_CHUNK = 16   # steps per LSTM forward and backward chunk; its gate rows stay in cache
+
+
 def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
     """1-D convolution with zero "same" padding.
 
@@ -447,11 +451,15 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
 
     pad = ((0, 0), (K // 2, K - 1 - K // 2), (0, 0))
     xd, wd = x.data, w.data
-    # im2col: the (batch*time, width*c_in) window matrix makes the forward
-    # one GEMM; it is dropped once used, and backward works per kernel tap
+    # im2col a few sequences at a time: each chunk's window matrix feeds one
+    # GEMM into its slice of the output; backward works per kernel tap
+    xp = np.pad(xd, pad)
     taps = np.arange(T)[:, None] + np.arange(K)          # padded positions read
-    col = np.pad(xd, pad).take(taps, axis=1).reshape(B * T, K * Cin)
-    out = (col @ wd.reshape(K * Cin, Cout)).reshape(B, T, Cout)
+    out = np.empty((B, T, Cout))
+    seqs = max(1, _CONV_CHUNK // (T * K * Cin))
+    for i in range(0, B, seqs):
+        np.matmul(xp[i: i + seqs].take(taps, axis=1).reshape(-1, K * Cin),
+                  wd.reshape(K * Cin, Cout), out=out[i: i + seqs].reshape(-1, Cout))
     if b is not None:
         out += b.data
 
@@ -602,9 +610,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             _accumulate(x, dx)
 
     return _make(data, (x, gamma, beta), back)
-
-
-_LSTM_CHUNK = 16   # steps per forward and backward chunk; its gate rows stay in cache
 
 
 def _lstm_factors(z: np.ndarray, c_prev: np.ndarray,

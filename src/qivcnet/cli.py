@@ -33,7 +33,7 @@ from . import dataio, network, preprocess, qire, training
 from .config import FIELD_KINDS, RunConfig, _convert, config_text, resolve_config
 from .errors import ConfigError, DataError, QivcError, ShapeError
 from .folds import segment_labels, stratified_kfold
-from .metrics import MetricsReport, expected_calibration_error, reliability_bins
+from .metrics import MetricsReport, compute_metrics, expected_calibration_error, reliability_bins
 from .rng import Rng
 
 EXIT_OK = 0
@@ -67,6 +67,14 @@ def _load_net(cfg: RunConfig, segments):
     net = network.QivcNet(network.config_from_dict(meta["network"]))
     net.load_state(arrays)
     return net, meta
+
+
+def _score_groups(net, groups: "list[tuple]") -> "list[tuple]":
+    """(key, metrics report) per (key, segments) group, all scored by one inference call."""
+    probs = network.infer_probs(net, [seg for _, group in groups for seg in group])
+    ends = np.cumsum([len(group) for _, group in groups])[:-1]
+    return [(key, compute_metrics(segment_labels(group), p.argmax(axis=1), p[:, 1]))
+            for (key, group), p in zip(groups, np.split(probs, ends))]
 
 
 def cmd_preprocess(cfg: RunConfig, outdir: Path) -> None:
@@ -110,12 +118,11 @@ def cmd_train(cfg: RunConfig, outdir: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, outdir: Path) -> None:
-    segments, labels = _load_cache(cfg)
+    segments, _ = _load_cache(cfg)
     net, meta = _load_net(cfg, segments)
+    splits = [(name, [segments[i] for i in meta[f"{name}_indices"]]) for name in ("val", "test")]
     rows = []
-    for split_name in ("val", "test"):
-        idx = meta[f"{split_name}_indices"]
-        report = training.evaluate_segments(net, [segments[i] for i in idx], labels[idx])
+    for split_name, report in _score_groups(net, splits):
         rows.append((split_name, *astuple(report)))
         print(f"{split_name}: acc={report.accuracy!r} f1={report.f1!r} auc={report.auc!r}")
     dataio.write_csv(outdir / "eval_metrics.csv",
@@ -123,15 +130,16 @@ def cmd_eval(cfg: RunConfig, outdir: Path) -> None:
 
 
 def cmd_robustness(cfg: RunConfig, outdir: Path) -> None:
-    segments, labels = _load_cache(cfg)
+    segments, _ = _load_cache(cfg)
     net, meta = _load_net(cfg, segments)
     test_idx = meta["test_indices"]
     master = Rng(cfg.seed)
-    rows = []
+    noisy = []
     for snr in cfg.snr_values():
         rng = master.fork()
-        noisy = [preprocess.inject_noise_snr(segments[i], snr, rng) for i in test_idx]
-        report = training.evaluate_segments(net, noisy, labels[test_idx])
+        noisy.append((snr, [preprocess.inject_noise_snr(segments[i], snr, rng) for i in test_idx]))
+    rows = []
+    for snr, report in _score_groups(net, noisy):
         rows.append((snr, *astuple(report)))
         print(f"snr={snr!r}dB acc={report.accuracy!r} auc={report.auc!r}")
     dataio.write_csv(outdir / "robustness.csv",

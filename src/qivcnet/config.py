@@ -162,7 +162,11 @@ def load_config_file(path: "str | Path") -> "dict[str, object]":
         raise ConfigError(f"missing config file: {path}")
     overrides: "dict[str, object]" = {}
     seen: "dict[str, int]" = {}  # key -> the line that set it
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

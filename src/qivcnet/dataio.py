@@ -75,21 +75,24 @@ def load_manifest(path: "str | Path") -> "list[tuple[str, Path, str]]":
     if not path.is_file():
         raise DataError(f"missing manifest: {path}")
     rows: "list[tuple[str, Path, str]]" = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"recording_id", "relative_path", "label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(
-                f"manifest {path} must have columns recording_id,relative_path,label")
-        for row in reader:
-            # DictReader keys extra fields by None and fills missing ones with None
-            if None in row or None in row.values():
-                raise DataError(f"{path}:{reader.line_num}: row fields do not match the header")
-            label = row["label"].strip()
-            if label not in LABELS:
-                raise DataError(f"{path}:{reader.line_num}: unknown label {label!r}")
-            rows.append((row["recording_id"].strip(),
-                         path.parent / row["relative_path"].strip(), label))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            required = {"recording_id", "relative_path", "label"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise DataError(
+                    f"manifest {path} must have columns recording_id,relative_path,label")
+            for row in reader:
+                # DictReader keys extra fields by None and fills missing ones with None
+                if None in row or None in row.values():
+                    raise DataError(f"{path}:{reader.line_num}: row fields do not match the header")
+                label = row["label"].strip()
+                if label not in LABELS:
+                    raise DataError(f"{path}:{reader.line_num}: unknown label {label!r}")
+                rows.append((row["recording_id"].strip(),
+                             path.parent / row["relative_path"].strip(), label))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not UTF-8 text") from exc
     if not rows:
         raise DataError(f"manifest {path} lists no recordings")
     return rows

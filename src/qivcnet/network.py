@@ -10,7 +10,8 @@ fused features and the shortcut, read side by side as one feature axis that
 is never built.  Every stage ends in batch norm and the block activation (a
 ReLU runs inside the batch-norm node).  The convs carry no bias, since the
 batch norm after each would subtract it; at inference each conv stage's
-batch norm folds into its conv as one kernel and bias.
+batch norm folds into its conv as one kernel and bias, a ReLU clamps that
+output in place, and each stage output is dropped once read.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -113,15 +114,19 @@ class RfrBlock(Layer):
         if training:
             return self._norm_act(bn, ad.conv1d(x, w), training)
         s = bn.gamma * Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
-        return self.act(ad.conv1d(x, w * s, bn.beta - Tensor(bn.running_mean) * s))
+        out = ad.conv1d(x, w * s, bn.beta - Tensor(bn.running_mean) * s)
+        if out.requires_grad or not self.fuse_relu:
+            return self.act(out)
+        return Tensor(np.maximum(out.data, 0.0, out=out.data))   # no graph: clamp in place
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
         s = self._conv_stage(self.bn_short, x, self.shortcut, training)
         w = ad.concat([self.fwd_conv.kernel(training, rng),
                        self.bwd_conv.kernel(training, rng)])   # (width, c_in, 2F)
-        fb = self._conv_stage(self.bn_conv, x, w, training)
-        fused = self._norm_act(self.bn_fuse, self.fusion_lstm.forward(fb), training)
-        return self._norm_act(self.bn_refine, self.refine_lstm.forward([fused, s]), training)
+        h = self.fusion_lstm.forward(self._conv_stage(self.bn_conv, x, w, training))
+        h = self.refine_lstm.forward([self._norm_act(self.bn_fuse, h, training), s])
+        del s
+        return self._norm_act(self.bn_refine, h, training)
 
     def kl(self) -> Tensor:
         return self.fwd_conv.kl() + self.bwd_conv.kl()

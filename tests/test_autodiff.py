@@ -184,6 +184,19 @@ def test_conv1d_matches_brute_force(width, c_in):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("width,c_in", [(1, 1), (7, 1), (1, 3), (7, 3)])
+def test_conv1d_forward_chunks_give_the_one_chunk_bits(monkeypatch, width, c_in):
+    x = Tensor(RNG.normal(size=(7, 13, c_in)))
+    w = Tensor(RNG.normal(size=(width, c_in, 4)))
+    b = Tensor(RNG.normal(size=4))
+    whole = ad.conv1d(x, w, b).data                  # the default chunk holds all 7 rows
+    # chunks of 3, 3 and a partial 1 sequences
+    monkeypatch.setattr(ad, "_CONV_CHUNK", 3 * 13 * width * c_in + 1)
+    chunked = ad.conv1d(x, w, b).data
+    assert np.array_equal(chunked, whole)
+    assert np.max(np.abs(chunked - _ref_conv(x.data, w.data, b.data))) < 1e-12
+
+
 @pytest.mark.parametrize("width", [1, 3, 5, 7])
 def test_conv1d_same_padding_preserves_length(width):
     x = Tensor(RNG.normal(size=(1, 20, 1)))

@@ -402,6 +402,23 @@ def test_preprocess_unwritable_cache_is_a_data_error(tmp_path):
     assert not (tmp_path / "prep").exists()
 
 
+def test_input_text_that_is_not_utf8_fails_in_one_line(tmp_path):
+    # a latin-1 byte in a config file exits 2, in a manifest 3, and neither
+    # run leaves its new outdir or a cache behind
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"trials = 2\n# caf\xe9\n")
+    rc, _, err = run_cli(["noise-stats", "--config", cfg, "--outdir", tmp_path / "ns"])
+    assert (rc, err) == (2, f"error code=2 kind=config: {cfg}: not UTF-8 text (byte 16)\n")
+    assert not (tmp_path / "ns").exists()
+    manifest = Path(write_wav_dataset(tmp_path / "data", 2, Rng(4), seconds=4.0))
+    manifest.write_bytes(manifest.read_bytes().replace(b"syn0000,", b"syn\xff000,", 1))
+    cache = tmp_path / "segments.qivc"
+    rc, _, err = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                          "--outdir", tmp_path / "prep"])
+    assert (rc, err) == (3, f"error code=3 kind=data: manifest {manifest} is not UTF-8 text\n")
+    assert not (tmp_path / "prep").exists() and not cache.exists()
+
+
 @pytest.mark.parametrize("below", [False, True])
 def test_outdir_that_cannot_be_a_directory_is_a_config_error(tmp_path, below):
     # an existing file as the outdir, or as one of its parents

@@ -69,6 +69,9 @@ def test_load_config_file_errors(tmp_path):
     p.write_text("lr = 0.1\nseed = 3\nlr = 0.2\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:3: key 'lr' already set on line 1"):
         load_config_file(p)
+    p.write_bytes(b"lr = 0.1\n# caf\xe9\n")     # latin-1, not UTF-8
+    with pytest.raises(ConfigError, match=r"bad\.cfg: not UTF-8 text \(byte 14\)"):
+        load_config_file(p)
     # settings that became constants are unknown keys, not silently ignored
     for removed in ("jobs", "dynamic_weights", "ema_decay", "bn_momentum", "pool_between"):
         p.write_text(f"{removed} = 1\n")
