@@ -450,9 +450,38 @@ def test_preprocess_memory_does_not_grow_with_the_corpus(tmp_path):
         assert rc == 0 and f"cached {3 * n} segments" in out
         return peak
 
-    traced_peak(4)                          # warm-up: scipy import, filter designs
+    traced_peak(4)                          # warm-up: filter designs
     small, large = traced_peak(4), traced_peak(16)
     assert large <= small + 64 * 1024, (small, large)
+
+
+def test_preprocess_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The band-pass runs as BLAS matrix products; its cache and rejections
+    are the same bytes at one BLAS thread and at two."""
+    data = tmp_path / "data"
+    manifest = _write_silent_wavs(data, 1, seconds=9.0, rate=4000)
+    rows = []
+    for rate in (2000, 4000):
+        sub = write_wav_dataset(data / str(rate), 2, Rng(rate), sample_rate=rate,
+                                seconds=13.0)
+        for row in sub.read_text().splitlines()[1:]:
+            rid, rel, label = row.split(",")
+            rows.append(f"{rid}_{rate},{rate}/{rel},{label}\n")
+    with open(manifest, "a") as fh:
+        fh.writelines(rows)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "qivcnet", "preprocess", "--manifest",
+                        str(manifest), "--cache", str(out / "segments.qivc"),
+                        "--outdir", str(out)], env=env, check=True, timeout=120,
+                       capture_output=True)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("segments.qivc", "rejections.csv")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"identically zero") == 2
 
 
 def _drop_label_field(manifest):

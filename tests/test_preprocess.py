@@ -1,5 +1,6 @@
-"""Preprocessing chain: filter response vs the analytic prototype, windowing,
-normalization, and noise injection."""
+"""Preprocessing chain: filter response vs the analytic prototype and vs
+scipy's ``sosfiltfilt`` (a test oracle only), windowing, normalization, and
+noise injection."""
 
 import numpy as np
 import pytest
@@ -69,12 +70,49 @@ def test_sos_is_a_fresh_writable_copy_per_call():
     second = butter_bandpass_sos(FS)
     assert second is not first
     assert second.flags.writeable
-    want = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
-                         btype="bandpass", fs=FS, output="sos")
-    assert np.array_equal(second, want)
-    assert np.array_equal(butter_bandpass_sos(2000.0), signal.butter(
-        FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ], btype="bandpass", fs=2000.0,
-        output="sos"))
+    assert np.array_equal(second, butter_bandpass_sos(FS))
+    # the factorization into sections may differ from scipy's in rounding;
+    # the zeros, poles and gain of the transfer function may not
+    for fs in (FS, 2000.0):
+        z, p, k = signal.sos2zpk(butter_bandpass_sos(fs))
+        want_z, want_p, want_k = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
+                                               btype="bandpass", fs=fs, output="zpk")
+        assert np.array_equal(np.sort_complex(z), np.sort_complex(want_z))
+        assert np.max(np.abs(np.sort_complex(p) - np.sort_complex(want_p))) < 1e-13
+        assert k == pytest.approx(want_k, rel=1e-14)
+
+
+def _scipy_bandpass(rec):
+    sos = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
+                        btype="bandpass", fs=rec.sample_rate, output="sos")
+    return signal.sosfiltfilt(sos, rec.samples, padtype="odd", padlen=PAD_LEN)
+
+
+# max |bandpass - sosfiltfilt| / max |sosfiltfilt| over random and sine inputs,
+# about 2-3x the measured worst case; the rounding grows as the low band edge
+# crowds the poles toward z = 1 at high rates, and as the high edge nears
+# Nyquist just above 800 Hz
+ORACLE_BOUNDS = {800.5: 2e-10, 1000.0: 2e-14, 2000.0: 2e-13, 4000.0: 1e-12,
+                 8000.0: 2e-11, 16000.0: 5e-11, 44100.0: 1e-9}
+
+
+@pytest.mark.parametrize("fs", sorted(ORACLE_BOUNDS))
+def test_bandpass_matches_scipy_sosfiltfilt(fs):
+    rng = Rng(int(fs))
+    whole = 40 * preprocess._BLOCK - 2 * PAD_LEN    # padded to whole filter blocks
+    worst = 0.0
+    for n in (PAD_LEN + 1, whole - 1, whole + 1, 12_345, int(60 * fs)):
+        for x in (rng.normal((n,)), np.sin(2.0 * np.pi * 60.0 * np.arange(n) / fs)):
+            rec = _rec(x, fs=fs)
+            got, want = bandpass(rec).samples, _scipy_bandpass(rec)
+            assert got.shape == want.shape
+            worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert worst <= ORACLE_BOUNDS[fs], worst
+
+
+@pytest.mark.parametrize("fs", [2000.0, 4000.0, 44100.0])
+def test_bandpass_of_silence_is_exactly_zero(fs):
+    assert not bandpass(_rec(np.zeros(int(9 * fs) + 7), fs=fs)).samples.any()
 
 
 def test_two_pass_gain_on_sines():
@@ -235,9 +273,9 @@ def _reference_window(window, label, rid, index):
 def _reference_recording(rec, filtered=True):
     samples = rec.samples
     if filtered:
-        sos = signal.butter(FILTER_ORDER, [BAND_LOW_HZ, BAND_HIGH_HZ],
-                            btype="bandpass", fs=rec.sample_rate, output="sos")
-        samples = signal.sosfiltfilt(sos, samples, padtype="odd", padlen=PAD_LEN)
+        # windowing is checked bit for bit here; the filter against scipy's
+        # in test_bandpass_matches_scipy_sosfiltfilt
+        samples = preprocess.bandpass(rec).samples
     width = int(round(4.0 * rec.sample_rate))
     results = [_reference_window(samples[i * width: (i + 1) * width], rec.label, rec.id, i)
                for i in range(len(samples) // width)]
@@ -274,6 +312,18 @@ def test_batched_silent_recording_matches_reference():
     assert got[0] == []
     assert [r.reason for r in got[1]] == ["identically zero"] * 2
     _assert_same_outcome(got, _reference_recording(rec))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_one_non_finite_sample_rejects_every_window_as_scipy_does(bad):
+    x = Rng(9).normal((int(13 * FS),))
+    x[int(6.5 * FS)] = bad
+    rec = _rec(x, rid="spike")
+    got = preprocess_recording(rec)
+    assert got == ([], [RejectedWindow("spike", i, "non-finite values") for i in range(3)])
+    scipy_filtered = Recording(samples=_scipy_bandpass(rec), sample_rate=FS,
+                               id=rec.id, label=rec.label)
+    _assert_same_outcome(got, _reference_recording(scipy_filtered, filtered=False))
 
 
 def test_batched_degenerate_windows_match_reference(monkeypatch):
