@@ -534,35 +534,16 @@ def softmax(x: Tensor) -> Tensor:
     return _make(data, (x,), back)
 
 
-class BatchNormState:
-    """Running statistics for one batch-norm layer.
-
-    The running variance is the biased (population) batch variance, matching
-    what normalization itself uses; with momentum 1.0 a single training batch
-    therefore reproduces its own statistics exactly at inference.
-    """
-
-    __slots__ = ("running_mean", "running_var", "momentum", "eps")
-
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        if eps <= 0.0:
-            raise ShapeError(f"batch_norm eps must be > 0, got {eps}")
-        if not 0.0 < momentum <= 1.0:
-            raise ShapeError(f"batch_norm momentum must be in (0, 1], got {momentum}")
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
-
-
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               state: BatchNormState, training: bool, relu: bool = False) -> Tensor:
+               state, training: bool, relu: bool = False) -> Tensor:
     """Per-channel batch normalization over the (batch, time) axes.
 
-    Training mode normalizes by batch statistics and updates the running
-    mean/variance in ``state``; inference mode uses the stored statistics.
-    With ``relu`` the output is clamped at zero in the same node, so no
-    separate activation node, output or mask is kept.
+    ``state`` (a ``layers.BatchNorm``) holds ``running_mean``, ``running_var``,
+    ``momentum`` and ``eps``.  Training mode normalizes by the batch mean and
+    biased variance and rebinds both running statistics, moved toward them by
+    ``momentum``; inference mode normalizes by the running statistics.  With
+    ``relu`` the output is clamped at zero in the same node, so no separate
+    activation node, output or mask is kept.
     """
     if x.ndim != 3:
         raise ShapeError(f"batch_norm input must be rank 3, got shape {x.shape}")

@@ -8,6 +8,8 @@ Layout (all little-endian):
                kind 1 (json):   payload length u32, utf-8 JSON text
     trailer: crc32 u32 over everything after the magic
 
+No byte may follow the last entry.
+
 Arrays hold parameters and batch-norm running statistics; the JSON entry
 carries run metadata (fold index, split indices, best validation score,
 architecture echo).  The checksum guards against truncation and bit rot.
@@ -16,6 +18,7 @@ architecture echo).  The checksum guards against truncation and bit rot.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -63,7 +66,8 @@ def save_checkpoint(path: "str | Path", arrays: "dict[str, np.ndarray]",
 
 
 def load_checkpoint(path: "str | Path") -> "tuple[dict[str, np.ndarray], dict]":
-    """Read back (arrays, metadata); verifies magic, version and checksum."""
+    """Read back (arrays, metadata); verifies magic, version and checksum,
+    and refuses an entry that does not parse or bytes after the last one."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"missing checkpoint: {path}")
@@ -92,7 +96,9 @@ def load_checkpoint(path: "str | Path") -> "tuple[dict[str, np.ndarray], dict]":
                 offset += 1
                 shape = struct.unpack_from(f"<{ndim}I", body, offset)
                 offset += 4 * ndim
-                size = int(np.prod(shape)) if ndim else 1
+                size = math.prod(shape)
+                if 8 * size > len(body) - offset:
+                    raise DataError(f"{path}: array {name!r} runs past the checkpoint body")
                 arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
                 offset += 8 * size
                 arrays[name] = arr.reshape(shape).astype(np.float64)
@@ -105,4 +111,9 @@ def load_checkpoint(path: "str | Path") -> "tuple[dict[str, np.ndarray], dict]":
                 raise DataError(f"{path}: unknown entry kind {kind}")
     except struct.error as exc:
         raise DataError(f"{path}: truncated checkpoint") from exc
+    except ValueError as exc:   # a name or JSON payload that does not parse
+        raise DataError(f"{path}: malformed checkpoint entry: {exc}") from exc
+    if offset != len(body):
+        raise DataError(f"{path}: checkpoint entries end at byte {offset} of a "
+                        f"{len(body)}-byte body")
     return arrays, metadata

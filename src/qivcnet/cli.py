@@ -53,6 +53,8 @@ def _load_net(cfg: RunConfig, segments):
     if not cfg.checkpoint:
         raise ConfigError("this command needs --checkpoint")
     arrays, meta = ckpt_io.load_checkpoint(cfg.checkpoint)
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint metadata is a JSON {type(meta).__name__}, not an object")
     if meta.get("n_segments") != len(segments):
         raise DataError(
             f"checkpoint was trained on {meta.get('n_segments')} segments but the "
@@ -61,9 +63,13 @@ def _load_net(cfg: RunConfig, segments):
     if missing:
         raise DataError(f"checkpoint metadata lacks {', '.join(missing)}")
     for key in ("val_indices", "test_indices"):
-        idx = meta[key] = np.array(meta[key], dtype=np.int64)
-        if idx.size and not (idx.min() >= 0 and idx.max() < len(segments)):
-            raise DataError(f"checkpoint {key} fall outside the {len(segments)}-segment cache")
+        idx = meta[key]
+        # bool is an int subclass, and a JSON true is no segment index
+        if not (isinstance(idx, list) and idx and all(
+                type(i) is int and 0 <= i < len(segments) for i in idx)):
+            raise DataError(f"checkpoint {key} must be a non-empty list of integers "
+                            f"inside the {len(segments)}-segment cache")
+        meta[key] = np.array(idx, dtype=np.int64)
     net = network.QivcNet(network.config_from_dict(meta["network"]))
     net.load_state(arrays)
     return net, meta

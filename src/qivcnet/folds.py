@@ -21,10 +21,9 @@ from .rng import Rng
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """Disjoint, covering index lists plus per-fold class counts."""
+    """Disjoint, covering index lists, one per fold."""
 
     folds: "list[np.ndarray]"
-    class_counts: "list[dict[int, int]]"
 
     @property
     def k(self) -> int:
@@ -65,8 +64,7 @@ def stratified_kfold(segments: "list[Segment]", k: int = 5, seed: int = 0,
     folds = [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
     if any(len(f) == 0 for f in folds):
         raise DataError("a fold received no segments; fewer groups than folds")
-    counts = [{int(c): int(np.sum(labels[f] == c)) for c in classes} for f in folds]
-    return FoldSplit(folds=folds, class_counts=counts)
+    return FoldSplit(folds=folds)
 
 
 def _deal_groups(segments, labels, buckets, rng: Rng) -> None:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError
 from .rng import Rng
 
@@ -83,22 +83,32 @@ class Layer:
                 setattr(owner, attr, arrays[name])
 
 
-class BatchNorm(Layer, BatchNormState):
+class BatchNorm(Layer):
     """Per-channel batch normalization with learnable scale and shift.
 
-    The layer is its own running-statistics state, so the running mean and
-    variance are buffers of the parameter tree.
+    The layer owns its running mean and variance (buffers of the parameter
+    tree), the state ``ad.batch_norm`` reads and, in training, updates.
     """
 
     PARTS = ("gamma", "beta", "running_mean", "running_var")
+    momentum = 0.1
+    eps = 1e-5
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        BatchNormState.__init__(self, channels, momentum=momentum, eps=eps)
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
 
     def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self, training, relu=relu)
+
+    def fold(self, w: Tensor) -> "tuple[Tensor, Tensor]":
+        """Kernel and bias of one conv equal to the bias-free conv with ``w``
+        followed by this layer at inference: w*s and beta - mean*s, with
+        s = gamma / sqrt(var + eps)."""
+        s = self.gamma * Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+        return w * s, self.beta - Tensor(self.running_mean) * s
 
 
 class LSTM(Layer):

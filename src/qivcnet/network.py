@@ -9,9 +9,11 @@ joined along the output channels as one conv with one batch norm, whose
 fused features and the shortcut, read side by side as one feature axis that
 is never built.  Every stage ends in batch norm and the block activation (a
 ReLU runs inside the batch-norm node).  The convs carry no bias, since the
-batch norm after each would subtract it; at inference each conv stage's
-batch norm folds into its conv as one kernel and bias, a ReLU clamps that
-output in place, and each stage output is dropped once read.
+batch norm after each would subtract it; with running statistics each conv
+stage's batch norm folds into its conv (``BatchNorm.fold``), a ReLU clamps
+that output in place when no graph is built, and each stage output is
+dropped once read.  An rng samples the variational kernels; ``training``
+picks batch statistics.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -78,6 +80,11 @@ def config_from_dict(d: dict) -> NetworkConfig:
     """Inverse of config_to_dict; every key must be present and known."""
     _check_keys(NetworkConfig, d, "architecture")
     _check_keys(QireConfig, d["qire"], "sampler")
+    if not (isinstance(d["blocks"], (list, tuple)) and all(
+            isinstance(b, (list, tuple)) and len(b) == 2 and all(type(v) is int for v in b)
+            for b in d["blocks"])):
+        raise ConfigError(f"architecture blocks must be [filters, width] integer pairs, "
+                          f"got {d['blocks']!r}")
     return NetworkConfig(**{**d, "blocks": tuple(tuple(b) for b in d["blocks"]),
                             "qire": QireConfig(**d["qire"])})
 
@@ -108,21 +115,18 @@ class RfrBlock(Layer):
         return self.act(bn.forward(x, training))
 
     def _conv_stage(self, bn: BatchNorm, x: Tensor, w: Tensor, training: bool) -> Tensor:
-        """Bias-free conv, batch norm and activation.  At inference the batch
-        norm folds into the conv: kernel w*s and bias beta - mean*s, with
-        s = gamma / sqrt(var + eps)."""
+        """Bias-free conv, batch norm and activation; with running statistics
+        the batch norm folds into the conv."""
         if training:
             return self._norm_act(bn, ad.conv1d(x, w), training)
-        s = bn.gamma * Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
-        out = ad.conv1d(x, w * s, bn.beta - Tensor(bn.running_mean) * s)
+        out = ad.conv1d(x, *bn.fold(w))
         if out.requires_grad or not self.fuse_relu:
             return self.act(out)
         return Tensor(np.maximum(out.data, 0.0, out=out.data))   # no graph: clamp in place
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
         s = self._conv_stage(self.bn_short, x, self.shortcut, training)
-        w = ad.concat([self.fwd_conv.kernel(training, rng),
-                       self.bwd_conv.kernel(training, rng)])   # (width, c_in, 2F)
+        w = ad.concat([self.fwd_conv.kernel(rng), self.bwd_conv.kernel(rng)])   # (width, c_in, 2F)
         h = self.fusion_lstm.forward(self._conv_stage(self.bn_conv, x, w, training))
         h = self.refine_lstm.forward([self._norm_act(self.bn_fuse, h, training), s])
         del s
@@ -158,6 +162,10 @@ class QivcNet(Layer):
         return ad.global_max_pool(x)
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
+        """Class probabilities (B, 2).  ``(True, rng)`` is a training step;
+        ``(False, None)`` scores, as every command does; ``(True, None)`` runs
+        the mean kernels on batch statistics; ``(False, rng)`` scores one
+        posterior sample on running statistics, each sampled kernel folded."""
         z = self.features(x, training, rng)
         h = self.act(self.hidden.forward(z))
         return ad.softmax(self.head.forward(h))

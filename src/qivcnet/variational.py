@@ -3,16 +3,16 @@
 Each layer keeps a Gaussian posterior over its kernel only: means mu_w
 and pre-scales rho_w, with sigma = softplus(rho_w) > 0.  The layer has no
 bias, because every one of its outputs feeds a batch norm, whose mean
-subtraction would cancel it.  A training-mode forward samples
+subtraction would cancel it.  A forward given an rng samples
 
     W_s = mu_w + softplus(rho_w) * eps_qire      (structured noise)
 
 where the noise tensor is a constant of the graph, so gradients reach mu_w
-and rho_w through the reparameterization path only.  Inference uses the
-posterior means and is fully deterministic.  The KL divergence to the
-zero-mean isotropic Gaussian prior regularizes the posterior; the same
-stabilizer epsilon is applied to both log terms so the divergence vanishes
-exactly when the posterior matches the prior.
+and rho_w through the reparameterization path only.  A forward without an
+rng uses the posterior means and is fully deterministic.  The KL divergence
+to the zero-mean isotropic Gaussian prior regularizes the posterior; the
+same stabilizer epsilon is applied to both log terms so the divergence
+vanishes exactly when the posterior matches the prior.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ def softplus_inverse(y: float) -> float:
 
 
 def sample_weights(layer: "QiVConv", rng: Rng) -> Tensor:
-    """Draw one noisy kernel, perturbed by structured noise, for a training
-    forward pass."""
+    """Draw one noisy kernel, perturbed by structured noise."""
     eps = qire_sample(layer.mu_w.shape, layer.qire, rng)
     return layer.mu_w + ad.softplus(layer.rho_w) * Tensor(eps)
 
@@ -73,8 +72,8 @@ class QiVConv(Layer):
 
     Means start from a fan-based uniform draw (the layer's only draw from
     ``rng`` at construction), and every sigma at half the prior scale.  A
-    training forward convolves with a kernel from ``sample_weights``; an
-    inference forward uses the means and draws nothing.
+    forward given an rng convolves with a kernel from ``sample_weights``;
+    one without uses the means and draws nothing.
     """
 
     PARTS = ("mu_w", "rho_w")
@@ -91,18 +90,16 @@ class QiVConv(Layer):
         self.mu_w = Tensor(rng.uniform(-limit, limit, shape), requires_grad=True)
         self.rho_w = Tensor(np.full(shape, rho0), requires_grad=True)
 
-    def kernel(self, training: bool, rng: "Rng | None" = None) -> Tensor:
-        """A sampled kernel in training; the posterior mean at inference."""
-        if not training:
-            return self.mu_w
+    def kernel(self, rng: "Rng | None" = None) -> Tensor:
+        """The posterior mean without an rng; one QiRE draw from ``rng`` with one."""
         if rng is None:
-            raise ConfigError("training-mode forward needs an rng")
+            return self.mu_w
         # sample_weights and kl_divergence are looked up at call time, so a
         # profiler can rebind them in this module
         return sample_weights(self, rng)
 
-    def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
-        return ad.conv1d(x, self.kernel(training, rng))
+    def forward(self, x: Tensor, rng: "Rng | None" = None) -> Tensor:
+        return ad.conv1d(x, self.kernel(rng))
 
     def kl(self) -> Tensor:
         return kl_divergence(self)

@@ -9,8 +9,9 @@ from scipy.special import expit
 
 from helpers import fd_grad, gradcheck, rel_err
 from qivcnet import autodiff as ad
-from qivcnet.autodiff import BatchNormState, Tensor
+from qivcnet.autodiff import Tensor
 from qivcnet.errors import GraphError, ShapeError
+from qivcnet.layers import BatchNorm
 
 RNG = np.random.default_rng(1234)
 
@@ -314,7 +315,7 @@ def test_softmax_grads():
 
 def test_batch_norm_train_normalizes():
     x = RNG.normal(size=(4, 50, 3)) * 5.0 + 2.0
-    st = BatchNormState(3)
+    st = BatchNorm(3)
     out = ad.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), st, training=True)
     assert np.max(np.abs(out.data.mean(axis=(0, 1)))) < 1e-12
     assert np.max(np.abs(out.data.std(axis=(0, 1)) - 1.0)) < 1e-3
@@ -322,7 +323,8 @@ def test_batch_norm_train_normalizes():
 
 def test_batch_norm_running_stats_update():
     x = RNG.normal(size=(2, 20, 2)) + 4.0
-    st = BatchNormState(2, momentum=1.0)
+    st = BatchNorm(2)
+    st.momentum = 1.0
     ad.batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), st, training=True)
     assert np.allclose(st.running_mean, x.mean(axis=(0, 1)))
     assert np.allclose(st.running_var, x.var(axis=(0, 1)))
@@ -330,7 +332,7 @@ def test_batch_norm_running_stats_update():
 
 def test_batch_norm_inference_deterministic_and_repeatable():
     x = RNG.normal(size=(3, 10, 2))
-    st = BatchNormState(2)
+    st = BatchNorm(2)
     g, b = Tensor(np.full(2, 1.5)), Tensor(np.full(2, -0.3))
     ad.batch_norm(Tensor(x), g, b, st, training=True)
     o1 = ad.batch_norm(Tensor(x), g, b, st, training=False).data
@@ -344,11 +346,11 @@ def test_batch_norm_grads_train_and_eval():
     beta = RNG.normal(size=2)
 
     def train_build(ts):
-        st = BatchNormState(2)
+        st = BatchNorm(2)
         return ad.tsum(ad.sigmoid(ad.batch_norm(ts[0], ts[1], ts[2], st, training=True)))
 
     def eval_build(ts):
-        st = BatchNormState(2)
+        st = BatchNorm(2)
         st.running_mean = np.array([0.4, -0.2])
         st.running_var = np.array([1.3, 0.7])
         return ad.tsum(ad.sigmoid(ad.batch_norm(ts[0], ts[1], ts[2], st, training=False)))
@@ -365,7 +367,7 @@ def test_batch_norm_relu_grads(training):
     beta = np.array([0.3, -0.2])
 
     def state():
-        st = BatchNormState(2)
+        st = BatchNorm(2)
         if not training:
             st.running_mean = np.array([0.4, -0.2])
             st.running_var = np.array([1.3, 0.7])
@@ -380,7 +382,7 @@ def test_batch_norm_relu_grads(training):
     assert 0 < np.count_nonzero(pre > 0) < pre.size
 
     def build(ts):
-        st = BatchNormState(2) if training else state()
+        st = BatchNorm(2) if training else state()
         out = ad.batch_norm(ts[0], ts[1], ts[2], st, training=training, relu=True)
         return ad.tsum(ad.sigmoid(out))
 
@@ -392,10 +394,8 @@ def test_batch_norm_relu_grads(training):
 
 def test_batch_norm_validates():
     with pytest.raises(ShapeError):
-        BatchNormState(2, momentum=0.0)
-    with pytest.raises(ShapeError):
         ad.batch_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(3)),
-                      Tensor(np.zeros(3)), BatchNormState(3), training=True)
+                      Tensor(np.zeros(3)), BatchNorm(3), training=True)
 
 
 # --------------------------------------------------------------------- lstm
@@ -555,7 +555,7 @@ def _captured_input_cases():
     a = lambda *shape: rng.normal(size=shape)
     cases = []
     for training in (True, False):
-        st = BatchNormState(3)
+        st = BatchNorm(3)
         st.running_mean, st.running_var = a(3), np.abs(a(3)) + 0.5
         cases.append((f"batch_norm training={training}", [a(2, 5, 3), a(3), a(3)],
                       lambda ts, st=st, tr=training: ad.batch_norm(*ts, st, tr, relu=True),
@@ -623,7 +623,7 @@ def test_backward_never_writes_into_the_incoming_gradient():
     rng = np.random.default_rng(79)
     p = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
     pos = Tensor(np.abs(rng.normal(size=(2, 3))) + 0.5, requires_grad=True)
-    st = BatchNormState(3)
+    st = BatchNorm(3)
     outs = [
         ad.add(p(2, 3), p(3)), ad.sub(p(2, 3), p(3)), ad.mul(p(2, 3), p(3)),
         ad.div(p(2, 3), pos), ad.neg(p(2, 3)), ad.relu(p(2, 3)), ad.tanh(p(2, 3)),

@@ -96,6 +96,24 @@ def test_well_formed_but_unknown_layout_is_rejected(tmp_path, edit, message):
         load_checkpoint(path)
 
 
+def _one_entry(name: bytes, rest: bytes) -> bytes:
+    """A version-1 body with one entry: its name, then kind and payload bytes."""
+    return struct.pack("<HIH", 1, 1, len(name)) + name + rest
+
+
+@pytest.mark.parametrize("body, message", [
+    (_one_entry(b"w", struct.pack("<BBI", 0, 1, 1000) + bytes(16)), "runs past"),
+    (_one_entry(b"\xff", struct.pack("<BI", 1, 2) + b"{}"), "malformed"),
+    (_one_entry(b"meta", struct.pack("<BI", 1, 3) + b"{x}"), "malformed"),
+    (_one_entry(b"meta", struct.pack("<BI", 1, 2) + b"{}") + bytes(8), "end at byte"),
+], ids=["array past the body", "name not utf-8", "json that does not parse", "trailing bytes"])
+def test_malformed_entries_under_a_valid_checksum_are_rejected(tmp_path, body, message):
+    path = tmp_path / "ck.bin"
+    path.write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
 def test_truncation_detected(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(path, _arrays(), {"ok": True})

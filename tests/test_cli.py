@@ -8,10 +8,12 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
 import wave
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from qivcnet import cli
-from qivcnet.checkpoint import load_checkpoint, save_checkpoint
+from qivcnet.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from qivcnet.cli import main
 from qivcnet.dataio import load_segment_cache, save_segment_cache
 from qivcnet.errors import NumericalError
@@ -576,6 +578,40 @@ def test_eval_rejects_incomplete_checkpoint_metadata(pipeline, tmp_path, keep, p
                           "--outdir", tmp_path / "eval"])
     assert rc == 3
     assert err.startswith("error code=3 kind=data:")
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("edit, code, named", [
+    (lambda meta: sorted(meta), 3, "metadata"),
+    (lambda meta: {**meta, "test_indices": ["a"]}, 3, "test_indices"),
+    (lambda meta: {**meta, "test_indices": [0.5]}, 3, "test_indices"),
+    (lambda meta: {**meta, "test_indices": [True]}, 3, "test_indices"),
+    (lambda meta: {**meta, "test_indices": []}, 3, "test_indices"),
+    (lambda meta: {**meta, "network": {**meta["network"], "blocks": [[4]]}}, 2, "blocks"),
+], ids=["a list", "a string index", "a float index", "a bool index", "an empty split",
+        "a short block"])
+def test_eval_refuses_checkpoint_metadata_of_the_wrong_type(pipeline, tmp_path, edit, code,
+                                                            named):
+    arrays, meta = load_checkpoint(pipeline["checkpoint"])
+    save_checkpoint(tmp_path / "edited.bin", arrays, edit(meta))
+    rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
+                          "--checkpoint", tmp_path / "edited.bin",
+                          "--outdir", tmp_path / "eval"])
+    assert rc == code
+    assert err.startswith(f"error code={code} ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_refuses_a_malformed_checkpoint_in_one_line(pipeline, tmp_path):
+    # a valid checksum over an array entry that claims more data than follows
+    body = struct.pack("<HIH", 1, 1, 1) + b"w" + struct.pack("<BBI", 0, 1, 1000) + bytes(16)
+    (tmp_path / "bad.bin").write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
+                          "--checkpoint", tmp_path / "bad.bin",
+                          "--outdir", tmp_path / "eval"])
+    assert rc == 3
+    assert err.startswith("error code=3 kind=data:") and err.count("\n") == 1
     assert not (tmp_path / "eval").exists()
 
 

@@ -30,8 +30,9 @@ def test_exact_balance_when_divisible():
     segs = _segments(80, 20)
     split = stratified_kfold(segs, k=5, seed=0)
     assert split.k == 5
-    for counts in split.class_counts:
-        assert counts == {0: 16, 1: 4}
+    labels = segment_labels(segs)
+    for fold in split.folds:
+        assert np.bincount(labels[fold], minlength=2).tolist() == [16, 4]
 
 
 def test_folds_disjoint_and_covering():

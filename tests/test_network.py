@@ -9,6 +9,7 @@ import pytest
 
 from helpers import fd_grad, graph_bytes, rel_err
 from qivcnet import autodiff as ad
+from qivcnet import variational
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint, save_checkpoint
 from qivcnet.config import RunConfig
@@ -205,7 +206,7 @@ def test_segments_to_batch_widens_cached_rows_exactly(tmp_path):
 
 def _variational_stage(blk: RfrBlock, x: Tensor, training: bool) -> np.ndarray:
     """The block's merged variational conv stage on the posterior means."""
-    w = ad.concat([blk.fwd_conv.kernel(False), blk.bwd_conv.kernel(False)])
+    w = ad.concat([blk.fwd_conv.kernel(), blk.bwd_conv.kernel()])
     return blk._conv_stage(blk.bn_conv, x, w, training).data
 
 
@@ -324,6 +325,52 @@ def test_train_equals_infer_when_noise_vanishes():
     # momentum 1.0 makes the running stats equal this batch's stats, and
     # sigma = softplus(-40) leaves no visible weight noise
     assert np.max(np.abs(train_out - infer_out)) < 1e-6
+
+
+def _counting_draws(monkeypatch) -> list:
+    """Record every kernel draw the network makes from now on."""
+    draws, real = [], variational.sample_weights
+    monkeypatch.setattr(variational, "sample_weights",
+                        lambda layer, rng: draws.append(layer) or real(layer, rng))
+    return draws
+
+
+def test_mean_kernels_on_batch_statistics_match_the_next_inference_forward(monkeypatch):
+    # (training=True, no rng): nothing is sampled, and with momentum 1.0 the
+    # running statistics become this batch's, so the folded inference
+    # forward that follows reproduces the output
+    net = QivcNet(MICRO)
+    for blk in net.blocks:
+        for bn in (blk.bn_conv, blk.bn_short, blk.bn_fuse, blk.bn_refine):
+            bn.momentum = 1.0
+    draws = _counting_draws(monkeypatch)
+    x = Tensor(Rng(2).normal((6, 24, 1)))
+    batch_stats = net.forward(x, training=True).data
+    running = net.forward(x, training=False).data
+    assert draws == []
+    assert np.max(np.abs(batch_stats - running)) <= 1e-12
+
+
+def test_posterior_sample_is_scored_on_running_statistics_folded_per_kernel(monkeypatch):
+    # (training=False, rng): both kernels of every block are drawn once, the
+    # running statistics stay put, and each sampled kernel folds with its
+    # batch norm exactly as the unfolded stage would normalize it
+    net = QivcNet(MICRO)
+    for i, blk in enumerate(net.blocks):
+        for bn in (blk.bn_conv, blk.bn_short, blk.bn_fuse, blk.bn_refine):
+            _moved_off_fresh(bn, np.random.default_rng(i))
+    before = {k: v.copy() for k, v in net.state_arrays().items()}
+    x = Tensor(Rng(9).normal((3, 32, 1)))
+    means = net.forward(x, training=False).data
+    draws = _counting_draws(monkeypatch)
+    sample = net.forward(x, training=False, rng=Rng(4)).data
+    assert len(draws) == 2 * len(net.blocks)
+    assert not np.allclose(sample, means)
+    assert all(np.array_equal(v, before[k]) for k, v in net.state_arrays().items())
+    monkeypatch.setattr(RfrBlock, "_conv_stage", lambda blk, bn, x, w, training:
+                        blk._norm_act(bn, ad.conv1d(x, w), training))
+    unfolded = net.forward(x, training=False, rng=Rng(4)).data
+    assert np.max(np.abs(sample - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
 
 
 # -------------------------------------------------------------- checkpoint
@@ -494,7 +541,7 @@ def test_relu_network_gradients_match_finite_differences(monkeypatch):
 
     def watched_batch_norm(x, gamma, beta, state, training, relu=False):
         if relu:
-            probe = ad.BatchNormState(x.shape[-1])
+            probe = BatchNorm(x.shape[-1])
             probe.running_mean, probe.running_var = state.running_mean, state.running_var
             pre = batch_norm(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data),
                              probe, training)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qivcnet import training
+from qivcnet import training, variational
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint
 from qivcnet.errors import ConfigError, DataError, NumericalError
@@ -233,6 +233,33 @@ def test_train_fold_names_the_parameter_with_a_non_finite_gradient(tmp_path, mon
                                              r"block1\.fusion_lstm\.wh"):
         train_fold(segs, 0, split.train_indices(0), split.test_indices(0),
                    RunConfig(epochs=1, batch=8, **MICRO), Rng(0), tmp_path / "f")
+
+
+def test_training_samples_on_every_step_and_scoring_never_does(tmp_path, monkeypatch):
+    # the rng alone turns kernel sampling on: each step draws both kernels of
+    # every block once, and scoring the validation and test sets draws none
+    draws, steps, scoring_draws = [], [], []
+    real_sample, real_step, real_eval = (variational.sample_weights, Adam.step,
+                                         training.evaluate_segments)
+
+    def scored(*args):
+        before = len(draws)
+        report = real_eval(*args)
+        scoring_draws.append(len(draws) - before)
+        return report
+
+    monkeypatch.setattr(variational, "sample_weights",
+                        lambda layer, rng: draws.append(layer) or real_sample(layer, rng))
+    monkeypatch.setattr(Adam, "step", lambda opt: steps.append(opt) or real_step(opt))
+    monkeypatch.setattr(training, "evaluate_segments", scored)
+    segs = _separable_segments(20)
+    split = stratified_kfold(segs, k=4, seed=0)
+    cfg = RunConfig(epochs=1, batch=8, **MICRO)
+    train_fold(segs, 0, split.train_indices(0), split.test_indices(0), cfg, Rng(0),
+               tmp_path / "f")
+    n_blocks = len(cfg.network_config().blocks)
+    assert len(steps) == 2 and len(draws) == 2 * n_blocks * len(steps)
+    assert scoring_draws == [0, 0]     # validation after the epoch, then the test fold
 
 
 # ------------------------------------------------------------ orchestration
