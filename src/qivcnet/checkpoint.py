@@ -111,7 +111,7 @@ def load_checkpoint(path: "str | Path") -> "tuple[dict[str, np.ndarray], dict]":
                 raise DataError(f"{path}: unknown entry kind {kind}")
     except struct.error as exc:
         raise DataError(f"{path}: truncated checkpoint") from exc
-    except ValueError as exc:   # a name or JSON payload that does not parse
+    except (ValueError, RecursionError) as exc:   # an entry that does not parse or nests too deep
         raise DataError(f"{path}: malformed checkpoint entry: {exc}") from exc
     if offset != len(body):
         raise DataError(f"{path}: checkpoint entries end at byte {offset} of a "

@@ -170,7 +170,11 @@ def cmd_calibrate(cfg: RunConfig, outdir: Path) -> None:
 
 
 def cmd_noise_stats(cfg: RunConfig, outdir: Path) -> None:
-    stats = qire.noise_statistics(cfg.qire_config(), cfg.kernel_shape_tuple(),
+    """Sampler diagnostics at the last block's kernel shape, (width, c_in, filters)."""
+    blocks = cfg.network_config().blocks
+    filters, width = blocks[-1]
+    c_in = blocks[-2][0] if len(blocks) > 1 else 1
+    stats = qire.noise_statistics(cfg.qire_config(), (width, c_in, filters),
                                   cfg.trials, Rng(cfg.seed))
     dataio.write_csv(outdir / "noise_stats.csv", qire.NoiseStats.CSV_HEADER,
                      [[getattr(stats, name) for name in qire.NoiseStats.CSV_HEADER]])

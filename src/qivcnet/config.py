@@ -4,10 +4,11 @@ A config file is plain ``key = value`` text: one pair per line, ``#``
 starts a comment, keys use underscores and match RunConfig field names.
 CLI flags (same names, dashes) override file values, which override the
 defaults.  RunConfig is the one declaration of every setting: the nested
-network and sampler configs are derived from its same-named fields, and a
-RunConfig with any setting out of range cannot be constructed.  The fully
-resolved configuration is echoed into the output directory of every command
-so a run can be reproduced from its artifacts.
+network and sampler configs are built from its same-named fields (the
+network's activation stays at its ReLU default), and a RunConfig with any
+setting out of range cannot be constructed.  The fully resolved
+configuration is echoed into the output directory of every command so a run
+can be reproduced from its artifacts.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ class RunConfig:
     # structured-noise sampler
     k: int = 5
     p: float = 0.05
-    rescale_sqrt_n: bool = False
     # variational posterior
     prior_var: float = 0.01
     kl_scale: float = 1e-5
     # architecture: comma-separated filtersxwidth pairs
     blocks: str = "16x7,32x7"
     classifier_width: int = 32
-    activation: str = "relu"
     # training
     lr: float = 1e-3
     batch: int = 256
@@ -55,13 +54,11 @@ class RunConfig:
     # evaluation sweeps and diagnostics
     snr_list: str = "25,20,15,10,5"
     trials: int = 10000
-    kernel_shape: str = "7x16x32"
 
     def __post_init__(self) -> None:
         """Range-check every setting, including the derived configs."""
         self.network_config()
         self.snr_values()
-        self.kernel_shape_tuple()
         if not 0.0 < self.lr < math.inf:     # NaN fails too
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.kl_scale < math.inf:
@@ -84,11 +81,12 @@ class RunConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
 
     def qire_config(self) -> QireConfig:
-        return _derive(QireConfig, self)
+        return QireConfig(k=self.k, p=self.p)
 
     def network_config(self) -> NetworkConfig:
-        return _derive(NetworkConfig, self, blocks=parse_blocks(self.blocks),
-                       qire=self.qire_config())
+        return NetworkConfig(blocks=parse_blocks(self.blocks),
+                             classifier_width=self.classifier_width, qire=self.qire_config(),
+                             prior_var=self.prior_var, seed=self.seed)
 
     def snr_values(self) -> "list[float]":
         """The SNRs in dB; +inf means no noise, and NaN, -inf or a finite SNR
@@ -99,22 +97,10 @@ class RunConfig:
                 snr_power_ratio(v, f"each SNR of snr_list {self.snr_list!r}")
         return values
 
-    def kernel_shape_tuple(self) -> "tuple[int, ...]":
-        shape = tuple(_split(self.kernel_shape, "x", int, "kernel_shape"))
-        if any(d < 1 for d in shape):
-            raise ConfigError(f"bad kernel_shape {self.kernel_shape!r}")
-        return shape
-
 
 FIELD_KINDS: "dict[str, type]" = {  # each RunConfig field's type, for files and flags
     f.name: {"str": str, "int": int, "float": float, "bool": bool}[str(f.type)]
     for f in fields(RunConfig)}
-
-
-def _derive(cls, cfg: RunConfig, **explicit):
-    """Build dataclass ``cls`` from the same-named fields of ``cfg``."""
-    shared = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in explicit}
-    return cls(**shared, **explicit)
 
 
 def _split(text: str, sep: str, kind, what: str) -> list:

@@ -3,8 +3,8 @@
 Ingest accepts RIFF/WAVE files containing 16-bit signed little-endian PCM;
 stereo files are reduced to channel 0 with a warning.  Labels come from a
 manifest CSV with header ``recording_id,relative_path,label`` where paths
-are relative to the manifest's directory and labels are ``normal`` or
-``abnormal``.
+are relative to the manifest's directory, labels are ``normal`` or
+``abnormal``, and no recording_id is listed twice.
 
 The segment cache is a little-endian binary file:
 
@@ -70,11 +70,13 @@ def read_wav(path: "str | Path") -> "tuple[np.ndarray, float]":
 
 
 def load_manifest(path: "str | Path") -> "list[tuple[str, Path, str]]":
-    """Parse a manifest CSV into (recording_id, absolute path, label) rows."""
+    """Parse a manifest CSV into (recording_id, absolute path, label) rows;
+    each recording_id may be listed once."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"missing manifest: {path}")
     rows: "list[tuple[str, Path, str]]" = []
+    seen: "dict[str, int]" = {}  # recording_id -> the line that listed it
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -89,8 +91,12 @@ def load_manifest(path: "str | Path") -> "list[tuple[str, Path, str]]":
                 label = row["label"].strip()
                 if label not in LABELS:
                     raise DataError(f"{path}:{reader.line_num}: unknown label {label!r}")
-                rows.append((row["recording_id"].strip(),
-                             path.parent / row["relative_path"].strip(), label))
+                rec_id = row["recording_id"].strip()
+                if rec_id in seen:
+                    raise DataError(f"{path}:{reader.line_num}: recording_id {rec_id!r} "
+                                    f"already listed on line {seen[rec_id]}")
+                seen[rec_id] = reader.line_num
+                rows.append((rec_id, path.parent / row["relative_path"].strip(), label))
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {path} is not UTF-8 text") from exc
     if not rows:

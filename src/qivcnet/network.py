@@ -67,19 +67,30 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
     return asdict(cfg)
 
 
-def _check_keys(cls, d: dict, where: str) -> None:
+_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}  # by field type
+
+
+def _check_fields(cls, d: dict, where: str) -> None:
+    """``d`` is an object with exactly ``cls``'s keys, and each int, float or
+    str field holds a JSON value of that kind (a bool is no number)."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     names = [f.name for f in fields(cls)]
     missing = [n for n in names if n not in d]
     unexpected = sorted(set(d) - set(names))
     if missing or unexpected:
         raise ConfigError(f"{where} dictionary has missing keys {missing} "
                           f"and unexpected keys {unexpected}")
+    for f in fields(cls):
+        kinds = _JSON_KINDS.get(f.type)
+        if kinds and (isinstance(d[f.name], bool) or not isinstance(d[f.name], kinds)):
+            raise ConfigError(f"{where} {f.name} must be a JSON {f.type}, got {d[f.name]!r}")
 
 
 def config_from_dict(d: dict) -> NetworkConfig:
-    """Inverse of config_to_dict; every key must be present and known."""
-    _check_keys(NetworkConfig, d, "architecture")
-    _check_keys(QireConfig, d["qire"], "sampler")
+    """Inverse of config_to_dict; every key must be present, known and of its field's type."""
+    _check_fields(NetworkConfig, d, "architecture")
+    _check_fields(QireConfig, d["qire"], "sampler")
     if not (isinstance(d["blocks"], (list, tuple)) and all(
             isinstance(b, (list, tuple)) and len(b) == 2 and all(type(v) is int for v in b)
             for b in d["blocks"])):

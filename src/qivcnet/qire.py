@@ -36,14 +36,10 @@ class QireConfig:
         Rotated-subspace dimension; must satisfy 1 <= k <= N at sample time.
     p:
         Decoherence probability in [0, 1]; p = 0 disables the reset step.
-    rescale_sqrt_n:
-        When True the final noise is multiplied by sqrt(N), giving unit
-        per-element variance scale instead of unit total norm.
     """
 
     k: int = 5
     p: float = 0.05
-    rescale_sqrt_n: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -84,8 +80,6 @@ def _sample_flat(n: int, config: QireConfig, rng: Rng) -> "tuple[np.ndarray, np.
     if config.p > 0.0:
         keep = rng.bernoulli(1.0 - config.p, n)
         eps_final = np.where(keep, eps_final, 1.0 / math.sqrt(n))
-    if config.rescale_sqrt_n:
-        eps_final = eps_final * math.sqrt(n)
     return eps_final, q
 
 

@@ -57,10 +57,6 @@ class Rng:
             raise ConfigError(f"bernoulli probability must be in [0, 1], got {p_true}")
         return self._gen.random(shape) < p_true
 
-    def integers(self, low: int, high: int, shape: "int | tuple[int, ...]" = ()) -> np.ndarray:
-        """Integers in ``[low, high)``."""
-        return self._gen.integers(low, high, size=shape)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def philox(seed: int) -> np.random.Generator:
+    """A numpy Generator on the same Philox stream as ``qivcnet.rng.Rng(seed)``,
+    for tests that draw integers."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def fd_grad(f, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar f() w.r.t. arr, mutated in place."""
     g = np.zeros_like(arr)

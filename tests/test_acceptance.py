@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, philox, rel_err
 from qivcnet import autodiff as ad
 from qivcnet.autodiff import Tensor
 from qivcnet.checkpoint import load_checkpoint
@@ -108,7 +108,7 @@ def test_criterion_3_gradients_match_finite_differences():
     worst = 0.0
     acts = ("tanh", "sigmoid", "identity")  # smooth, so central differences apply
     for i in range(100):
-        shape_rng = Rng(3000 + i)
+        shape_rng = philox(3000 + i)
         width = int(shape_rng.integers(1, 6))
         c_in = int(shape_rng.integers(1, 4))
         c_out = int(shape_rng.integers(1, 4))
@@ -228,7 +228,7 @@ def test_criterion_5_band_pass_filter():
 # ------------------------------------------------------------ 6: metrics
 
 def test_criterion_6_metrics_match_brute_force():
-    rng = Rng(66)
+    rng = philox(66)
     worst_ratio = 0.0
     counts_ok = True
     for _ in range(1000):

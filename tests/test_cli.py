@@ -181,6 +181,27 @@ def test_noise_stats_summarises_the_sampler(pipeline):
     assert abs(float(fields[3]) - 1.0) < 0.05  # unit-norm before decoherence
 
 
+@pytest.mark.parametrize("blocks, n", [("16x7,32x7", 3584), ("5x3", 15), ("2x3,3x3,4x5", 60)])
+def test_noise_stats_samples_the_last_blocks_kernel(tmp_path, blocks, n):
+    # the last block's kernel is (width, c_in, filters), c_in the previous block's filters
+    rc, out, _ = run_cli(["noise-stats", "--blocks", blocks, "--k", "2", "--trials", "3",
+                          "--outdir", tmp_path / "stats"])
+    assert rc == 0
+    assert f" n={n}:" in out
+    assert (tmp_path / "stats" / "noise_stats.csv").read_text().splitlines()[1].startswith(
+        f"2,0.05,{n},")
+
+
+@pytest.mark.parametrize("flag", ["--rescale-sqrt-n", "--activation", "--kernel-shape"])
+def test_removed_setting_flags_exit_2(tmp_path, flag):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["noise-stats", flag, "1", "--outdir", str(tmp_path / "stats")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in err.getvalue()
+    assert not (tmp_path / "stats").exists()
+
+
 def test_export_latent_emits_one_row_per_segment(pipeline):
     tmp = pipeline["tmp"]
     rc, out, _ = run_cli(["export-latent", "--cache", pipeline["cache"],
@@ -511,6 +532,20 @@ def _cut_stereo_wav_inside_a_frame(manifest):
     return "syn0001.wav"
 
 
+def test_preprocess_refuses_a_repeated_recording_id_before_reading_a_wav(tmp_path):
+    # one id for a normal and an abnormal recording would be cached, dealt
+    # into folds and exported as one recording with two labels
+    manifest = write_wav_dataset(tmp_path / "data", 3, Rng(4), seconds=4.0)
+    manifest.write_text(manifest.read_text().replace("syn0001,", "syn0000,"))
+    (manifest.parent / "wavs" / "syn0000.wav").unlink()
+    cache = tmp_path / "segments.qivc"
+    rc, _, err = run_cli(["preprocess", "--manifest", manifest, "--cache", cache,
+                          "--outdir", tmp_path / "prep"])
+    assert (rc, err) == (3, f"error code=3 kind=data: {manifest}:3: recording_id "
+                            f"'syn0000' already listed on line 2\n")
+    assert not cache.exists() and not (tmp_path / "prep").exists()
+
+
 @pytest.mark.parametrize("damage", [_drop_label_field, _add_extra_field,
                                     _cut_stereo_wav_inside_a_frame])
 def test_preprocess_malformed_input_fails_with_data_code(tmp_path, damage):
@@ -581,15 +616,37 @@ def test_eval_rejects_incomplete_checkpoint_metadata(pipeline, tmp_path, keep, p
     assert not (tmp_path / "eval").exists()
 
 
+def _echo(**changes):
+    """A metadata edit that sets fields of the architecture echo."""
+    return lambda meta: {**meta, "network": {**meta["network"], **changes}}
+
+
+def _sampler_echo(**changes):
+    """A metadata edit that sets fields of the echo's sampler config."""
+    return lambda meta: _echo(qire={**meta["network"]["qire"], **changes})(meta)
+
+
 @pytest.mark.parametrize("edit, code, named", [
     (lambda meta: sorted(meta), 3, "metadata"),
     (lambda meta: {**meta, "test_indices": ["a"]}, 3, "test_indices"),
     (lambda meta: {**meta, "test_indices": [0.5]}, 3, "test_indices"),
     (lambda meta: {**meta, "test_indices": [True]}, 3, "test_indices"),
     (lambda meta: {**meta, "test_indices": []}, 3, "test_indices"),
-    (lambda meta: {**meta, "network": {**meta["network"], "blocks": [[4]]}}, 2, "blocks"),
+    (_echo(blocks=[[4]]), 2, "blocks"),
+    (_echo(seed="x"), 2, "architecture seed must be a JSON int"),
+    (_echo(seed=True), 2, "architecture seed must be a JSON int"),
+    (_echo(classifier_width=3.0), 2, "architecture classifier_width must be a JSON int"),
+    (_echo(classifier_width="3"), 2, "architecture classifier_width must be a JSON int"),
+    (_echo(prior_var=None), 2, "architecture prior_var must be a JSON float"),
+    (_echo(activation=[1]), 2, "architecture activation must be a JSON str"),
+    (_echo(qire=[2, 0.05]), 2, "sampler must be a JSON object"),
+    (_sampler_echo(k="2"), 2, "sampler k must be a JSON int"),
+    (_sampler_echo(rescale_sqrt_n=False), 2, "unexpected keys ['rescale_sqrt_n']"),
+    (lambda meta: {**meta, "network": "16x7,32x7"}, 2, "architecture must be a JSON object"),
 ], ids=["a list", "a string index", "a float index", "a bool index", "an empty split",
-        "a short block"])
+        "a short block", "a string seed", "a bool seed", "a float width", "a string width",
+        "a null prior_var", "a list activation", "a list sampler", "a string k",
+        "an old sampler echo", "a string architecture"])
 def test_eval_refuses_checkpoint_metadata_of_the_wrong_type(pipeline, tmp_path, edit, code,
                                                             named):
     arrays, meta = load_checkpoint(pipeline["checkpoint"])
@@ -612,6 +669,21 @@ def test_eval_refuses_a_malformed_checkpoint_in_one_line(pipeline, tmp_path):
                           "--outdir", tmp_path / "eval"])
     assert rc == 3
     assert err.startswith("error code=3 kind=data:") and err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_refuses_deeply_nested_checkpoint_metadata_in_one_line(pipeline, tmp_path):
+    # a valid checksum over JSON nested past the decoder's recursion limit
+    payload = b"[" * 100000
+    body = (struct.pack("<HIH", 1, 1, 4) + b"meta" + struct.pack("<BI", 1, len(payload))
+            + payload)
+    (tmp_path / "deep.bin").write_bytes(MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    rc, _, err = run_cli(["eval", "--cache", pipeline["cache"],
+                          "--checkpoint", tmp_path / "deep.bin",
+                          "--outdir", tmp_path / "eval"])
+    assert rc == 3
+    assert err.startswith("error code=3 kind=data:") and err.count("\n") == 1
+    assert "malformed checkpoint entry" in err
     assert not (tmp_path / "eval").exists()
 
 

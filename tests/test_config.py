@@ -73,7 +73,8 @@ def test_load_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match=r"bad\.cfg: not UTF-8 text \(byte 14\)"):
         load_config_file(p)
     # settings that became constants are unknown keys, not silently ignored
-    for removed in ("jobs", "dynamic_weights", "ema_decay", "bn_momentum", "pool_between"):
+    for removed in ("jobs", "dynamic_weights", "ema_decay", "bn_momentum", "pool_between",
+                    "rescale_sqrt_n", "activation", "kernel_shape"):
         p.write_text(f"{removed} = 1\n")
         with pytest.raises(ConfigError, match=f"unknown key '{removed}'"):
             load_config_file(p)
@@ -116,8 +117,6 @@ def test_resolve_validates(tmp_path):
     with pytest.raises(ConfigError):
         resolve_config(None, {"snr_list": "a,b"})
     with pytest.raises(ConfigError):
-        resolve_config(None, {"kernel_shape": "0x3"})
-    with pytest.raises(ConfigError):
         resolve_config(None, {"trials": 0})
     with pytest.raises(ConfigError):
         resolve_config(None, {"fold_index": -2})
@@ -139,7 +138,6 @@ def test_derived_configs():
     assert net.classifier_width == 8
     assert cfg.lr == 0.002
     assert cfg.snr_values() == [25.0, 20.0, 15.0, 10.0, 5.0]
-    assert cfg.kernel_shape_tuple() == (7, 16, 32)
 
 
 def test_snr_values_custom():
@@ -179,12 +177,12 @@ def test_config_text_round_trips(tmp_path):
 
 DEFAULT_CONFIG_TEXT = (
     "manifest = \ncache = segments.qivc\noutdir = runs/latest\ncheckpoint = \n"
-    "k = 5\np = 0.05\nrescale_sqrt_n = false\nprior_var = 0.01\nkl_scale = 1e-05\n"
+    "k = 5\np = 0.05\nprior_var = 0.01\nkl_scale = 1e-05\n"
     "blocks = 16x7,32x7\nclassifier_width = 32\n"
-    "activation = relu\nlr = 0.001\nbatch = 256\nepochs = 500\n"
+    "lr = 0.001\nbatch = 256\nepochs = 500\n"
     "patience = 50\nfolds = 5\nfold_index = -1\nval_fraction = 0.1\n"
     "group_by_recording = false\n"
-    "seed = 0\nsnr_list = 25,20,15,10,5\ntrials = 10000\nkernel_shape = 7x16x32\n")
+    "seed = 0\nsnr_list = 25,20,15,10,5\ntrials = 10000\n")
 
 
 def test_default_config_text_bytes_are_pinned():
@@ -193,12 +191,12 @@ def test_default_config_text_bytes_are_pinned():
 
 def test_network_echo_json_bytes_are_pinned():
     cfg = NetworkConfig(blocks=((4, 3), (6, 5)), classifier_width=8,
-                        qire=QireConfig(k=3, p=0.1, rescale_sqrt_n=True),
+                        qire=QireConfig(k=3, p=0.1),
                         prior_var=0.02, activation="tanh", seed=9)
     assert json.dumps(config_to_dict(cfg), sort_keys=True) == (
         '{"activation": "tanh", "blocks": [[4, 3], [6, 5]], '
         '"classifier_width": 8, '
-        '"prior_var": 0.02, "qire": {"k": 3, "p": 0.1, "rescale_sqrt_n": true}, '
+        '"prior_var": 0.02, "qire": {"k": 3, "p": 0.1}, '
         '"seed": 9}')
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import philox
 from qivcnet.errors import ShapeError
 from qivcnet.metrics import (
     MetricsReport,
@@ -17,7 +18,6 @@ from qivcnet.metrics import (
     reliability_bins,
     roc_auc,
 )
-from qivcnet.rng import Rng
 
 
 def _brute_counts(labels, preds):
@@ -65,7 +65,7 @@ def test_worked_example_counts_and_ratios():
 
 
 def test_counts_match_brute_force_on_random_inputs():
-    rng = Rng(11)
+    rng = philox(11)
     for _ in range(200):
         n = int(rng.integers(1, 40, ()))
         labels = rng.integers(0, 2, (n,))
@@ -74,7 +74,7 @@ def test_counts_match_brute_force_on_random_inputs():
 
 
 def test_full_report_matches_brute_force():
-    rng = Rng(12)
+    rng = philox(12)
     for _ in range(50):
         n = int(rng.integers(2, 30, ()))
         labels = rng.integers(0, 2, (n,))
@@ -118,7 +118,7 @@ def test_auc_handles_tied_groups():
 
 
 def test_auc_matches_pair_statistic_randomized():
-    rng = Rng(13)
+    rng = philox(13)
     for _ in range(100):
         n = int(rng.integers(2, 25, ()))
         labels = rng.integers(0, 2, (n,))
@@ -136,7 +136,7 @@ def test_auc_single_class_is_chance():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([2.0, 0.5, 10.0]))
 def test_auc_invariant_under_monotone_score_transform(seed, power):
-    rng = Rng(seed)
+    rng = philox(seed)
     labels = rng.integers(0, 2, (15,))
     scores = rng.uniform(0.0, 1.0, (15,))
     assert roc_auc(labels, scores ** power) == pytest.approx(
@@ -188,7 +188,7 @@ def test_ece_hand_value():
 
 
 def test_ece_weighted_average():
-    rng = Rng(14)
+    rng = philox(14)
     n = 100
     labels = rng.integers(0, 2, (n,))
     scores = rng.uniform(0.0, 1.0, (n,))

@@ -70,9 +70,14 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = NetworkConfig(blocks=((4, 3), (6, 5)), classifier_width=8,
-                        qire=QireConfig(k=3, p=0.1, rescale_sqrt_n=True),
+                        qire=QireConfig(k=3, p=0.1),
                         prior_var=0.02, activation="tanh", seed=9)
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_config_from_dict_takes_an_int_for_a_float_field():
+    d = {**config_to_dict(MICRO), "prior_var": 1}
+    assert config_from_dict(d) == NetworkConfig(**{**vars(MICRO), "prior_var": 1})
 
 
 def test_config_from_dict_missing_key():
@@ -419,7 +424,7 @@ def test_untrained_default_checkpoint_bytes_are_pinned(tmp_path):
     save_checkpoint(path, QivcNet(cfg).state_arrays(),
                     {"network": config_to_dict(cfg), "fold": 0})
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "20024750106b27da2c0ec6926534612ffaa042e0bf14595e8576512f1e3f08ef"
+    assert digest == "4a72d075eacdd95f79f1aeb0b177b5e89847e9b5b4bea9fa9a93f4479ff25842"
 
 
 def test_named_parameters_follow_checkpoint_names():

@@ -13,9 +13,8 @@ from qivcnet.qire import NoiseStats, QireConfig, noise_statistics, qire_sample
 from qivcnet.rng import Rng
 
 
-def _flat_sample(n, k, p, seed, rescale=False):
-    cfg = QireConfig(k=k, p=p, rescale_sqrt_n=rescale)
-    return qire_sample((n,), cfg, Rng(seed))
+def _flat_sample(n, k, p, seed):
+    return qire_sample((n,), QireConfig(k=k, p=p), Rng(seed))
 
 
 def test_unit_norm_without_decoherence():
@@ -65,13 +64,6 @@ def test_full_decoherence_collapses_to_constant():
     n = 25
     v = _flat_sample(n, 3, 1.0, seed=1)
     assert np.allclose(v, 1.0 / np.sqrt(n), atol=1e-15)
-
-
-def test_rescale_multiplies_by_sqrt_n():
-    n, k = 36, 2
-    plain = _flat_sample(n, k, 0.0, seed=4, rescale=False)
-    scaled = _flat_sample(n, k, 0.0, seed=4, rescale=True)
-    assert np.max(np.abs(scaled - plain * np.sqrt(n))) < 1e-12
 
 
 def test_sample_reshapes_to_kernel_shape():

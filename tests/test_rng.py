@@ -71,7 +71,3 @@ def test_uniform_bounds():
     u = Rng(11).uniform(2.0, 3.0, 1000)
     assert u.min() >= 2.0 and u.max() < 3.0
 
-
-def test_integers_half_open():
-    v = Rng(13).integers(0, 5, 2000)
-    assert v.min() == 0 and v.max() == 4

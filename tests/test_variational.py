@@ -85,10 +85,10 @@ def test_kernel_validates():
 
 def test_sampled_kernel_noise_has_unit_norm():
     # with constant sigma, (W_s - mu) / sigma recovers the raw structured
-    # draw, which has unit total norm when rescaling is off
+    # draw, which has unit total norm
     sigma = 0.3
     vk = _const_kernel(0.7, sigma, prior_var=0.04, shape=(5, 2, 3),
-                       qire=QireConfig(k=4, p=0.0, rescale_sqrt_n=False))
+                       qire=QireConfig(k=4, p=0.0))
     w_s = sample_weights(vk, Rng(11))
     eps = (w_s.data - vk.mu_w.data) / sigma
     assert np.linalg.norm(eps) == pytest.approx(1.0, abs=1e-10)
