@@ -22,11 +22,13 @@ rebuild:
  - batch_norm keeps its output and the centring mean (the batch mean in
    training, the running mean it used in inference); the centred input is
    recomputed from the input, which its producer holds anyway;
- - conv1d keeps no im2col matrix and no padded input: forward builds its
-   window matrix per chunk, backward works per tap on a fresh padding;
- - lstm keeps gates [i, f, o, tanh(g)] and cells (none under ``no_grad``),
-   its output is the one copy of the hidden states, tanh of the cells is
-   recomputed per chunk, and a list input is read part by part, never joined;
+ - conv1d keeps no im2col matrix, no padded input and, with a training
+   batch norm in its node, no conv output: backward recomputes it, and
+   works per tap on a fresh padding;
+ - lstm keeps gates [i, f, o, tanh(g)] and the cell state before each
+   backward chunk (none under ``no_grad``), from which backward recomputes
+   the chunk's cells; its output is the one copy of the hidden states, and
+   a list input is read part by part, never joined;
  - reverse_time returns a view;
  - max_pool keeps a bool mask of the windows whose maximum is their
    second step.
@@ -186,7 +188,8 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones(())
-    for node in reversed(order):
+    while order:            # popped, so each applied node can be freed
+        node = order.pop()
         fn = node._backward
         if fn is not None and node.grad is not None:
             fn(node.grad)
@@ -429,12 +432,15 @@ _CONV_CHUNK = 1 << 18   # window elements per conv1d forward chunk; its im2col r
 _LSTM_CHUNK = 16   # steps per LSTM forward and backward chunk; its gate rows stay in cache
 
 
-def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None,
+           bn=None, relu: bool = False) -> Tensor:
     """1-D convolution with zero "same" padding.
 
     x is (batch, time, c_in), w is (width, c_in, c_out), optional bias is
     (c_out,).  The left pad is width // 2, so the output keeps the input
-    length.
+    length.  With ``bn`` (a ``layers.BatchNorm``) and no bias, the node also
+    runs ``batch_norm(..., training=True, relu=relu)`` in place on its output,
+    and backward recomputes the conv output.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d input must be rank 3, got shape {x.shape}")
@@ -444,26 +450,35 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
     K, KCin, Cout = w.shape
     if KCin != Cin:
         raise ShapeError(f"kernel in_channels={KCin} does not match input channels={Cin}")
-    if b is not None and b.shape != (Cout,):
-        raise ShapeError(f"bias shape {b.shape} does not match out_channels={Cout}")
+    if b is not None and (b.shape != (Cout,) or bn is not None):
+        raise ShapeError(f"bias shape {b.shape} is not ({Cout},) or meets a batch norm")
     if K > T:
         raise ShapeError(f"kernel width {K} exceeds signal length {T}")
 
     pad = ((0, 0), (K // 2, K - 1 - K // 2), (0, 0))
     xd, wd = x.data, w.data
-    # im2col a few sequences at a time: each chunk's window matrix feeds one
-    # GEMM into its slice of the output; backward works per kernel tap
-    xp = np.pad(xd, pad)
-    taps = np.arange(T)[:, None] + np.arange(K)          # padded positions read
-    out = np.empty((B, T, Cout))
-    seqs = max(1, _CONV_CHUNK // (T * K * Cin))
-    for i in range(0, B, seqs):
-        np.matmul(xp[i: i + seqs].take(taps, axis=1).reshape(-1, K * Cin),
-                  wd.reshape(K * Cin, Cout), out=out[i: i + seqs].reshape(-1, Cout))
-    if b is not None:
-        out += b.data
+
+    def conv(shift: "np.ndarray | None") -> np.ndarray:
+        # im2col a few sequences at a time: each chunk's window matrix feeds
+        # one GEMM into its slice of the output; backward works per kernel tap
+        xp = np.pad(xd, pad)
+        taps = np.arange(T)[:, None] + np.arange(K)          # padded positions read
+        out = np.empty((B, T, Cout))
+        seqs = max(1, _CONV_CHUNK // (T * K * Cin))
+        for i in range(0, B, seqs):
+            np.matmul(xp[i: i + seqs].take(taps, axis=1).reshape(-1, K * Cin),
+                      wd.reshape(K * Cin, Cout), out=out[i: i + seqs].reshape(-1, Cout))
+        if shift is not None:
+            out += shift
+        return out
+
+    out = conv(None if b is None else b.data)
+    if bn is not None:
+        out, mean, norm_back = _batch_norm(out, out, bn.gamma, bn.beta, bn, True, relu)
 
     def back(g):
+        if bn is not None:
+            g = norm_back(g, conv(-mean))      # the centred conv output: x + (-m) == x - m
         if x.requires_grad:
             g2 = g.reshape(B * T, Cout)
             dxp = np.zeros((B, T + K - 1, Cin))
@@ -479,7 +494,7 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
         if b is not None and b.requires_grad:
             _accumulate(b, np.einsum("btc->c", g))
 
-    parents = (x, w) if b is None else (x, w, b)
+    parents = (x, w) + (() if b is None else (b,)) + (() if bn is None else (bn.gamma, bn.beta))
     return _make(out, parents, back)
 
 
@@ -534,6 +549,44 @@ def softmax(x: Tensor) -> Tensor:
     return _make(data, (x,), back)
 
 
+def _batch_norm(xd: np.ndarray, out: "np.ndarray | None", gamma: Tensor, beta: Tensor,
+                state, training: bool, relu: bool):
+    """Batch norm of xd into ``out`` (new when None); returns it, the centring
+    mean and ``back(g, xc)``, which takes a fresh centred input, overwrites
+    it, accumulates gamma's and beta's gradients and returns xd's."""
+    n = xd.shape[0] * xd.shape[1]
+    # einsum reductions run about 3x faster than ndarray.sum over (0, 1)
+    mean = np.einsum("btc->c", xd) / n if training else state.running_mean
+    data = np.subtract(xd, mean, out=out)       # centred input, normalized in place below
+    var = np.einsum("btc,btc->c", data, data) / n if training else state.running_var
+    if training:
+        m = state.momentum
+        state.running_mean = (1.0 - m) * state.running_mean + m * mean
+        state.running_var = (1.0 - m) * state.running_var + m * var
+    inv = 1.0 / np.sqrt(var + state.eps)
+    scale = gamma.data * inv
+    data *= scale
+    data += beta.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
+
+    def back(g, xc):
+        if relu:
+            g = g * (data > 0.0)                # a fresh array, scaled into dx in place
+        gb = np.einsum("btc->c", g)
+        gx = np.einsum("btc,btc->c", g, xc) * inv    # d loss / d gamma
+        _accumulate(gamma, gx)
+        _accumulate(beta, gb)
+        dx = np.multiply(g, scale, out=g if relu else None)
+        if training:
+            dx -= gb * (scale / n)
+            xc *= gx * (scale * inv / n)
+            dx -= xc
+        return dx
+
+    return data, mean, back
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                state, training: bool, relu: bool = False) -> Tensor:
     """Per-channel batch normalization over the (batch, time) axes.
@@ -550,45 +603,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     C = x.shape[-1]
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError(f"gamma/beta must have shape ({C},), got {gamma.shape}/{beta.shape}")
-
-    n = x.shape[0] * x.shape[1]
     xd = x.data
-    if training:
-        # einsum reductions run about 3x faster than ndarray.sum over (0, 1)
-        mean = np.einsum("btc->c", xd) / n
-        data = xd - mean                        # centred input, normalized in place below
-        var = np.einsum("btc,btc->c", data, data) / n
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
-        state.running_var = (1.0 - m) * state.running_var + m * var
-    else:
-        mean = state.running_mean
-        data = xd - mean
-        var = state.running_var
-    inv = 1.0 / np.sqrt(var + state.eps)
-    scale = gamma.data * inv
-    data *= scale
-    data += beta.data
-    if relu:
-        np.maximum(data, 0.0, out=data)
+    data, mean, norm_back = _batch_norm(xd, None, gamma, beta, state, training, relu)
 
     def back(g):
-        if relu:
-            g = g * (data > 0.0)
-        xc = xd - mean                          # recomputed: x is kept anyway
-        gb = np.einsum("btc->c", g)
-        gx = np.einsum("btc,btc->c", g, xc) * inv    # d loss / d gamma
-        if gamma.requires_grad:
-            _accumulate(gamma, gx)
-        if beta.requires_grad:
-            _accumulate(beta, gb)
-        if x.requires_grad:
-            dx = g * scale
-            if training:
-                dx -= gb * (scale / n)
-                xc *= gx * (scale * inv / n)
-                dx -= xc
-            _accumulate(x, dx)
+        _accumulate(x, norm_back(g, xd - mean))   # recomputed: x is kept anyway
 
     return _make(data, (x, gamma, beta), back)
 
@@ -629,9 +648,9 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     row: the weight and bias columns are negated and the cell gate's doubled
     (exact in binary floating point), so 1 / (1 + e^z) is sigma of the input,
     forget and output gates and 2 / (1 + e^z) - 1 = 2 sigma(2g) - 1 = tanh(g);
-    past exp's overflow a gate is exactly 0, 1 or -1.  Gates and cells are
-    stored only when the result keeps a backward closure: under ``no_grad``
-    none are kept.
+    past exp's overflow a gate is exactly 0, 1 or -1.  Gates, and the cell
+    state at each backward chunk boundary, are stored only when the result
+    keeps a backward closure: under ``no_grad`` none are kept.
     Backward is hand-rolled full-sequence BPTT, walked in chunks of steps;
     each chunk's share of the weight and input gradients is a few GEMMs
     outside the step loop.
@@ -661,7 +680,9 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     wxs, whs, bias = wxd * sign, whd * sign, b.data * sign
     keep = _grad_enabled and any(p.requires_grad for p in (*parts, wx, wh, b))
     gates = np.empty((T if keep else _LSTM_CHUNK, B, 4 * H))
-    cells = np.empty((T if keep else _LSTM_CHUNK, B, H))
+    cells = np.empty((_LSTM_CHUNK, B, H))
+    # the cell state before each backward chunk (these count down from T)
+    edges = np.zeros((-(-T // _LSTM_CHUNK), B, H)) if keep else None
     hiddens = np.empty((_LSTM_CHUNK, B, H))
     out = np.empty((B, T, H))
     num = np.tile(np.repeat([1.0, 2.0], [3 * H, H]), (B, 1))   # full rows: no broadcast
@@ -669,8 +690,7 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     with np.errstate(over="ignore", under="ignore"):   # e^z = inf gives a gate of exactly 0
         for start in range(0, T, _LSTM_CHUNK):
             n = min(_LSTM_CHUNK, T - start)
-            at = slice(start, start + n) if keep else slice(0, n)
-            zc, cc = gates[at], cells[at]
+            zc, cc = (gates[start: start + n] if keep else gates[:n]), cells[:n]
             np.matmul(xs[0][:, start: start + n].transpose(1, 0, 2), wxs[rows[0]], out=zc)
             for xk, rk in zip(xs[1:], rows[1:]):
                 zc += xk[:, start: start + n].transpose(1, 0, 2) @ wxs[rk]
@@ -688,6 +708,8 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
                 h = np.tanh(c, out=hiddens[k])
                 h *= z[:, 2 * H: 3 * H]
             out[:, start: start + n] = hiddens[:n].transpose(1, 0, 2)
+            if keep and start + _LSTM_CHUNK < T:
+                edges[start // _LSTM_CHUNK + 1] = cc[(T - 1) % _LSTM_CHUNK]   # ends a bwd chunk
 
     def back(g):
         dcf = np.zeros((B, H))                 # dc_next * f_next, carried back
@@ -707,9 +729,11 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
             start = max(0, stop - _LSTM_CHUNK)
             n = stop - start
             part = gates[start: stop]          # gate values become gradients
-            c_prev = (cells[start - 1: stop - 1] if start else
-                      np.concatenate((np.zeros((1, B, H)), cells[: stop - 1])))
-            dh_dc, f = _lstm_factors(part, c_prev, np.tanh(cells[start: stop]))
+            j = -(-start // _LSTM_CHUNK)        # the chunk's cells, recomputed
+            c = np.concatenate((edges[j: j + 1], part[:, :, :H] * part[:, :, 3 * H:]))
+            for t in range(n):
+                c[t + 1] += part[t, :, H: 2 * H] * c[t]    # i*g + f*c == f*c + i*g
+            dh_dc, f = _lstm_factors(part, c[:n], np.tanh(c[1:]))
             dz_if = part.reshape(n, B, 4, H)[:, :, :2]
             dz_o = part[:, :, 2 * H: 3 * H]
             dz_g = part[:, :, 3 * H:]

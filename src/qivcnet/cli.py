@@ -202,8 +202,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):   # main's one error line, not a usage block
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qivcnet",
         description="Variational convolution networks for heart-sound classification")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -226,9 +231,9 @@ def _fail(code: int, kind: str, exc: Exception, created: "Path | None") -> int:
 def main(argv: "list[str] | None" = None) -> int:
     """Run one command. A failure removes the outdir only if this command made
     it; every artifact is published whole, so none is ever partial."""
-    args = _build_parser().parse_args(argv)
     created = None
     try:
+        args = _build_parser().parse_args(argv)
         flags = {name: _convert(name, kind, raw) for name, kind in FIELD_KINDS.items()
                  if (raw := getattr(args, name)) is not None}
         cfg = resolve_config(args.config, flags)

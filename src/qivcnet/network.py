@@ -9,11 +9,11 @@ joined along the output channels as one conv with one batch norm, whose
 fused features and the shortcut, read side by side as one feature axis that
 is never built.  Every stage ends in batch norm and the block activation (a
 ReLU runs inside the batch-norm node).  The convs carry no bias, since the
-batch norm after each would subtract it; with running statistics each conv
-stage's batch norm folds into its conv (``BatchNorm.fold``), a ReLU clamps
-that output in place when no graph is built, and each stage output is
-dropped once read.  An rng samples the variational kernels; ``training``
-picks batch statistics.
+batch norm after each would subtract it.  In training a conv stage's batch
+norm and ReLU run inside its conv node; with running statistics they fold
+into the conv (``BatchNorm.fold``), a ReLU clamping that output in place
+when no graph is built.  Each stage output is dropped once read.  An rng
+samples the variational kernels; ``training`` picks batch statistics.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -126,10 +126,11 @@ class RfrBlock(Layer):
         return self.act(bn.forward(x, training))
 
     def _conv_stage(self, bn: BatchNorm, x: Tensor, w: Tensor, training: bool) -> Tensor:
-        """Bias-free conv, batch norm and activation; with running statistics
-        the batch norm folds into the conv."""
+        """Bias-free conv, batch norm and activation; with batch statistics the
+        conv node runs the batch norm, with running statistics it folds in."""
         if training:
-            return self._norm_act(bn, ad.conv1d(x, w), training)
+            out = ad.conv1d(x, w, bn=bn, relu=self.fuse_relu)
+            return out if self.fuse_relu else self.act(out)
         out = ad.conv1d(x, *bn.fold(w))
         if out.requires_grad or not self.fuse_relu:
             return self.act(out)

@@ -60,7 +60,8 @@ def gradcheck(build, arrays, tol: float = 1e-6, step: float = 1e-5):
 def graph_bytes(loss) -> int:
     """Bytes held by the graph below ``loss``: the distinct base arrays of
     every node's data and of the ndarrays its backward closure captured
-    (directly, or inside a list or tuple).  Views count once, by their base."""
+    (directly, inside a list or tuple, or in the closure of a function it
+    captured).  Views count once, by their base."""
     bases: "dict[int, np.ndarray]" = {}
 
     def add(arr) -> None:
@@ -76,10 +77,17 @@ def graph_bytes(loss) -> int:
             continue
         seen.add(id(node))
         add(node.data)
-        for cell in getattr(node._backward, "__closure__", None) or ():
-            value = cell.cell_contents
-            for item in value if isinstance(value, (list, tuple)) else (value,):
-                if isinstance(item, np.ndarray):
-                    add(item)
+        closures = [node._backward]     # a loop, not a recursive closure: no reference cycle
+        while closures:
+            for cell in getattr(closures.pop(), "__closure__", None) or ():
+                try:
+                    value = cell.cell_contents
+                except ValueError:      # a name the function never got to bind
+                    continue
+                for item in value if isinstance(value, (list, tuple)) else (value,):
+                    if isinstance(item, np.ndarray):
+                        add(item)
+                    elif callable(item) and not isinstance(item, type):
+                        closures.append(item)
         stack.extend(node._parents)
     return sum(arr.nbytes for arr in bases.values())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from helpers import fd_grad, gradcheck, rel_err
+from helpers import fd_grad, gradcheck, graph_bytes, rel_err
 from qivcnet import autodiff as ad
 from qivcnet.autodiff import Tensor
 from qivcnet.errors import GraphError, ShapeError
@@ -234,10 +234,46 @@ def test_conv1d_grads(width):
 def test_conv1d_shape_errors():
     with pytest.raises(ShapeError):
         ad.conv1d(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 1, 1))))
+    with pytest.raises(ShapeError):      # a bias in front of a batch norm is never learned
+        ad.conv1d(Tensor(np.ones((2, 4, 1))), Tensor(np.ones((3, 1, 1))), Tensor(np.ones(1)),
+                  bn=BatchNorm(1))
     with pytest.raises(ShapeError):
         ad.conv1d(Tensor(np.ones((2, 4, 2))), Tensor(np.ones((3, 3, 1))))
     with pytest.raises(ShapeError):
         ad.conv1d(Tensor(np.ones((1, 2, 1))), Tensor(np.ones((3, 1, 1))))
+
+
+@pytest.mark.parametrize("relu", [True, False], ids=["relu", "tanh"])
+@pytest.mark.parametrize("width", [1, 5, 7])
+def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, relu, width):
+    # The training conv stage is one node that normalizes its conv output in
+    # place and recomputes it in backward; it must give the bits of the two
+    # nodes it replaces (output, running statistics and every gradient) and
+    # keep exactly the conv output less.  A small chunk makes forward and
+    # the backward recompute run one sequence per GEMM.
+    monkeypatch.setattr(ad, "_CONV_CHUNK", 40 * width * 2)
+    rng = np.random.default_rng(87)
+    x, w, wgt = rng.normal(size=(3, 40, 2)), rng.normal(size=(width, 2, 4)), rng.normal(size=(3, 40, 4))
+    gamma, beta = rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
+    runs, held = [], []
+    for fused in (True, False):
+        bn = BatchNorm(4)
+        bn.gamma.data, bn.beta.data = gamma.copy(), beta.copy()
+        bn.running_mean, bn.running_var = np.full(4, 0.3), np.full(4, 2.0)
+        xt, wt = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+        if fused:
+            out = ad.conv1d(xt, wt, bn=bn, relu=relu)
+        else:
+            conv = ad.conv1d(xt, wt)
+            out = ad.batch_norm(conv, bn.gamma, bn.beta, bn, True, relu=relu)
+        held.append(graph_bytes(out))
+        out = out if relu else ad.tanh(out)
+        ad.backward(ad.tsum(out * Tensor(wgt)))
+        runs.append([out.data, bn.running_mean, bn.running_var,
+                     xt.grad, wt.grad, bn.gamma.grad, bn.beta.grad])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+    assert held[0] == held[1] - conv.data.nbytes
 
 
 # ------------------------------------------------------------------ pooling
@@ -450,6 +486,31 @@ def test_lstm_grads_across_backward_chunks():
               [x, wx, wh, b])
 
 
+@pytest.mark.parametrize("T", [ad._LSTM_CHUNK - 1, ad._LSTM_CHUNK, ad._LSTM_CHUNK + 1,
+                               2 * ad._LSTM_CHUNK + 3])
+def test_lstm_grads_around_chunk_lengths(T):
+    # backward recomputes each chunk's cells from the cell state kept before
+    # it; the chunks count down from T, so T decides where those states sit
+    rng = np.random.default_rng(88)
+    x = rng.normal(size=(2, T, 2))
+    wx, wh = rng.normal(size=(2, 12)) * 0.5, rng.normal(size=(3, 12)) * 0.5
+    b, wgt = rng.normal(size=12), rng.normal(size=(2, T, 3))
+    gradcheck(lambda ts: ad.tsum(ad.lstm(ts[0], ts[1], ts[2], ts[3]) * Tensor(wgt)),
+              [x, wx, wh, b])
+
+
+@pytest.mark.parametrize("T", [ad._LSTM_CHUNK, 2 * ad._LSTM_CHUNK + 3, 1000])
+def test_training_lstm_keeps_gates_output_and_one_cell_state_per_chunk(T):
+    B, I, H = 2, 3, 4
+    rng = np.random.default_rng(89)
+    ts = [Tensor(rng.normal(size=s), requires_grad=True)
+          for s in ((B, T, I), (I, 4 * H), (H, 4 * H), (4 * H,))]
+    out = ad.lstm(*ts)
+    chunks = -(-T // ad._LSTM_CHUNK)
+    assert graph_bytes(out) - sum(t.data.nbytes for t in ts) == 8 * (
+        T * B * 4 * H + B * T * H + chunks * B * H)
+
+
 def test_lstm_grads_single_step():
     x = RNG.normal(size=(3, 1, 2))
     wx = RNG.normal(size=(2, 12))
@@ -562,6 +623,8 @@ def _captured_input_cases():
                       st))
     cases += [
         ("conv1d", [a(2, 7, 2), a(3, 2, 3), a(3)], lambda ts: ad.conv1d(*ts), None),
+        ("conv1d batch_norm", [a(2, 7, 2), a(3, 2, 3)],
+         lambda ts: ad.conv1d(*ts, bn=BatchNorm(3), relu=True), None),
         ("lstm", [a(2, 5, 3), a(3, 8), a(2, 8), a(8)], lambda ts: ad.lstm(*ts), None),
         ("lstm list", [a(2, 5, 1), a(2, 5, 2), a(3, 8), a(2, 8), a(8)],
          lambda ts: ad.lstm(ts[:2], *ts[2:]), None),
@@ -639,6 +702,8 @@ def test_backward_never_writes_into_the_incoming_gradient():
     for training in (True, False):
         for relu in (True, False):
             outs.append(ad.batch_norm(p(2, 4, 3), p(3), p(3), st, training, relu=relu))
+    for relu in (True, False):
+        outs.append(ad.conv1d(p(2, 6, 2), p(3, 2, 3), bn=st, relu=relu))
     for out in outs:
         g = rng.normal(size=out.shape)
         g.flags.writeable = False              # an in-place write raises

@@ -194,12 +194,31 @@ def test_noise_stats_samples_the_last_blocks_kernel(tmp_path, blocks, n):
 
 @pytest.mark.parametrize("flag", ["--rescale-sqrt-n", "--activation", "--kernel-shape"])
 def test_removed_setting_flags_exit_2(tmp_path, flag):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main(["noise-stats", flag, "1", "--outdir", str(tmp_path / "stats")])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 1" in err.getvalue()
+    rc, out, err = run_cli(["noise-stats", flag, "1", "--outdir", tmp_path / "stats"])
+    assert (rc, out) == (2, "")
+    assert err == f"error code=2 kind=config: unrecognized arguments: {flag} 1\n"
     assert not (tmp_path / "stats").exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["noise-stats", "--activation", "tanh"], "unrecognized arguments: --activation tanh"),
+    (["noise-stats", "--trials"], "argument --trials: expected one argument"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_parse_errors_are_one_config_line_without_usage(argv, reason):
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error code=2 kind=config: {reason}") and err.count("\n") == 1
+    assert "usage" not in err
+
+
+def test_help_still_prints_usage_and_exits_0():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["noise-stats", "--help"])
+    assert exc.value.code == 0
+    assert out.getvalue().startswith("usage: qivcnet noise-stats")
 
 
 def test_export_latent_emits_one_row_per_segment(pipeline):

@@ -261,26 +261,28 @@ def test_untied_halves_differ():
 @pytest.mark.parametrize("training", [True, False])
 def test_block_runs_both_variational_kernels_as_one_stage(monkeypatch, training):
     # one conv and one batch norm for both variational kernels, whose output
-    # is the fusion LSTM's single input; nothing is reversed in time
+    # is the fusion LSTM's single input; nothing is reversed in time.  In
+    # training each conv stage's batch norm (with its ReLU) runs inside the
+    # conv node; at inference it folds into the conv's kernel and bias.
     seen = []
 
     def spy(name, summary):
         op = getattr(ad, name)
 
         def watched(*args, **kwargs):
-            seen.append((name, summary(*args)))
+            seen.append((name, summary(*args, **kwargs)))
             return op(*args, **kwargs)
         monkeypatch.setattr(ad, name, watched)
 
-    spy("conv1d", lambda x, w, b=None: w.shape)
-    spy("batch_norm", lambda x, *rest: x.shape[-1])
+    spy("conv1d", lambda x, w, b=None, bn=None, relu=False: (
+        w.shape, "bias" if b is not None else (bn.gamma.shape[0], relu)))
+    spy("batch_norm", lambda x, *rest, **kw: x.shape[-1])
     spy("lstm", lambda x, *rest: len(x) if isinstance(x, list) else 1)
     spy("reverse_time", lambda a: a.shape)
     blk = QivcNet(NetworkConfig(blocks=((4, 5),), classifier_width=4, seed=2)).blocks[0]
     blk.forward(Tensor(Rng(5).normal((2, 16, 1))), training, rng=Rng(3))
-    stages = [("conv1d", (1, 1, 4)), ("batch_norm", 4), ("conv1d", (5, 1, 8)), ("batch_norm", 8)]
-    if not training:    # the conv stages fold their batch norms
-        stages = stages[::2]
+    norms = [(4, True), (8, True)] if training else ["bias", "bias"]
+    stages = [("conv1d", ((1, 1, 4), norms[0])), ("conv1d", ((5, 1, 8), norms[1]))]
     assert seen == [*stages, ("lstm", 1), ("batch_norm", 4), ("lstm", 2), ("batch_norm", 4)]
 
 
@@ -482,10 +484,9 @@ def test_shapes_through_pooling():
 
 # ------------------------------------------------------------- graph memory
 
-def _default_objective() -> "tuple[QivcNet, Tensor]":
-    """The default network and its training objective on four segments."""
-    cfg = NetworkConfig()
-    net = QivcNet(cfg)
+def _default_objective(net: "QivcNet | None" = None) -> "tuple[QivcNet, Tensor]":
+    """The default network (or ``net``) and its training objective on four segments."""
+    net = net or QivcNet(NetworkConfig())
     x = Tensor(Rng(22).normal((4, 64, 1)))
     probs = net.forward(x, training=True, rng=Rng(23))
     task, _, _ = composite_loss(probs, one_hot(np.array([0, 1, 0, 1])), LossWeights())
@@ -495,9 +496,45 @@ def _default_objective() -> "tuple[QivcNet, Tensor]":
 def test_training_graph_holds_only_what_backward_needs():
     # Pinned at the default network's training objective.  Each op keeps only
     # what its backward cannot cheaply rebuild, so a change that starts to
-    # save a centred input, an im2col matrix, a joined LSTM input or a second
-    # copy of the hidden states again fails here.
-    assert graph_bytes(_default_objective()[1]) == 2_377_672
+    # save a centred input, an im2col matrix, a conv-stage conv output, the
+    # LSTM cells, a joined LSTM input or a second copy of the hidden states
+    # again fails here.
+    assert graph_bytes(_default_objective()[1]) == 2_058_184
+
+
+def test_backward_frees_each_node_once_applied(monkeypatch):
+    # The walk drops each node once its closure has run, so when the graph's
+    # first op (block 0's shortcut stage) runs its backward, little of the
+    # graph the forward pass built is still alive.
+    first, live = [], []
+    make = ad._make
+
+    def watched_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        if not first and out._backward is not None:
+            first.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_make", watched_make)
+    net = QivcNet(NetworkConfig())
+    _default_objective(net)        # imports what the first step loads on demand
+    tracemalloc.start()
+    try:
+        first.clear()
+        _, objective = _default_objective(net)
+        held = graph_bytes(objective)
+        node = first.pop()
+        inner = node._backward
+
+        def probe(g):
+            live.append(tracemalloc.get_traced_memory()[0])
+            inner(g)
+        node._backward = probe
+        del node
+        ad.backward(objective)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1 and live[0] < held / 2, (live, held)
 
 
 # ---------------------------------------------------------------- gradients
@@ -540,23 +577,32 @@ def test_network_gradients_match_finite_differences():
 
 def test_relu_network_gradients_match_finite_differences(monkeypatch):
     # the default activation is relu, fused into batch norm inside the
-    # blocks; the check holds only where no pre-activation sits near the kink
+    # blocks (into the conv node too, in the conv stages); the check holds
+    # only where no pre-activation sits near the kink
     smallest = []
-    batch_norm, relu = ad.batch_norm, ad.relu
+    conv1d, batch_norm, relu = ad.conv1d, ad.batch_norm, ad.relu
+
+    def pre_activation(x, gamma, beta, state, training):
+        probe = BatchNorm(x.shape[-1])
+        probe.running_mean, probe.running_var = state.running_mean, state.running_var
+        pre = batch_norm(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data), probe, training)
+        smallest.append(float(np.min(np.abs(pre.data))))
+
+    def watched_conv1d(x, w, b=None, bn=None, relu=False):
+        if relu:
+            pre_activation(conv1d(Tensor(x.data), Tensor(w.data)), bn.gamma, bn.beta, bn, True)
+        return conv1d(x, w, b, bn=bn, relu=relu)
 
     def watched_batch_norm(x, gamma, beta, state, training, relu=False):
         if relu:
-            probe = BatchNorm(x.shape[-1])
-            probe.running_mean, probe.running_var = state.running_mean, state.running_var
-            pre = batch_norm(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data),
-                             probe, training)
-            smallest.append(float(np.min(np.abs(pre.data))))
+            pre_activation(x, gamma, beta, state, training)
         return batch_norm(x, gamma, beta, state, training, relu=relu)
 
     def watched_relu(a):
         smallest.append(float(np.min(np.abs(a.data))))
         return relu(a)
 
+    monkeypatch.setattr(ad, "conv1d", watched_conv1d)
     monkeypatch.setattr(ad, "batch_norm", watched_batch_norm)
     monkeypatch.setitem(ad.ACTIVATIONS, "relu", watched_relu)
     cfg = NetworkConfig(blocks=((2, 3), (3, 3)), classifier_width=3,
