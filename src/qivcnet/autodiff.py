@@ -612,13 +612,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     return _make(data, (x, gamma, beta), back)
 
 
-def _lstm_factors(z: np.ndarray, c_prev: np.ndarray,
-                  tanh_c: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+def _lstm_factors(z: np.ndarray, c0: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Turn a chunk of LSTM gate values into derivative factors, in place.
 
-    z holds the gate values [i, f, o, g] of a chunk of steps, c_prev the cell
-    states before each step and tanh_c the tanh of the cell states.  On return
-    z holds the factors that map dc (or dh, for the output gate) to the gate
+    z holds the gate values [i, f, o, g] of a chunk of steps and c0 the cell
+    state before it, from which the chunk's cells c are recomputed with the
+    forward's own ops (i*g + f*c == f*c + i*g).  On return z holds the
+    factors that map dc (or dh, for the output gate) to the gate
     pre-activation gradients:
 
         input  g * i(1-i)          forget  c_prev * f(1-f)
@@ -629,8 +629,12 @@ def _lstm_factors(z: np.ndarray, c_prev: np.ndarray,
     """
     H = z.shape[-1] // 4
     i, f, o, g = (z[:, :, k * H: (k + 1) * H].copy() for k in range(4))
+    c = np.concatenate((c0[None], i * g))
+    for t in range(len(z)):
+        c[t + 1] += f[t] * c[t]
+    tanh_c = np.tanh(c[1:])
     z[:, :, :H] = i * (1.0 - i) * g
-    z[:, :, H: 2 * H] = (1.0 - f) * f * c_prev
+    z[:, :, H: 2 * H] = (1.0 - f) * f * c[:-1]
     z[:, :, 2 * H: 3 * H] = (1.0 - o) * (tanh_c * o)
     z[:, :, 3 * H:] = (1.0 - g * g) * i
     return (1.0 - tanh_c * tanh_c) * o, f
@@ -729,11 +733,7 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
             start = max(0, stop - _LSTM_CHUNK)
             n = stop - start
             part = gates[start: stop]          # gate values become gradients
-            j = -(-start // _LSTM_CHUNK)        # the chunk's cells, recomputed
-            c = np.concatenate((edges[j: j + 1], part[:, :, :H] * part[:, :, 3 * H:]))
-            for t in range(n):
-                c[t + 1] += part[t, :, H: 2 * H] * c[t]    # i*g + f*c == f*c + i*g
-            dh_dc, f = _lstm_factors(part, c[:n], np.tanh(c[1:]))
+            dh_dc, f = _lstm_factors(part, edges[-(-start // _LSTM_CHUNK)])
             dz_if = part.reshape(n, B, 4, H)[:, :, :2]
             dz_o = part[:, :, 2 * H: 3 * H]
             dz_g = part[:, :, 3 * H:]

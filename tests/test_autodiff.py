@@ -253,7 +253,8 @@ def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, r
     # the backward recompute run one sequence per GEMM.
     monkeypatch.setattr(ad, "_CONV_CHUNK", 40 * width * 2)
     rng = np.random.default_rng(87)
-    x, w, wgt = rng.normal(size=(3, 40, 2)), rng.normal(size=(width, 2, 4)), rng.normal(size=(3, 40, 4))
+    x, w = rng.normal(size=(3, 40, 2)), rng.normal(size=(width, 2, 4))
+    wgt = rng.normal(size=(3, 40, 4))
     gamma, beta = rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
     runs, held = [], []
     for fused in (True, False):
