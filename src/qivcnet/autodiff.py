@@ -13,18 +13,24 @@ Conventions used throughout the package:
  - elementwise binaries follow numpy broadcasting (trailing axes), and
    gradients are summed back over the broadcast axes;
  - a graph supports a single backward pass: closures and saved buffers are
-   released as soon as they have been applied, to keep peak memory low.
+   released as soon as they have been applied, to keep peak memory low;
+ - an activation (relu, tanh, sigmoid, identity) is one entry of a table
+   that holds its in-place forward and its derivative from its own output;
+   ``conv1d`` and ``batch_norm`` run it inside their node (``act=``), and
+   the standalone ops are built from the same entry.
 
 Saved for backward.  The graph held after forward sets the peak memory of a
 training step, so each op keeps only what its backward cannot cheaply
 rebuild:
 
- - batch_norm keeps its output and the centring mean (the batch mean in
-   training, the running mean it used in inference); the centred input is
-   recomputed from the input, which its producer holds anyway;
+ - batch_norm keeps its output, from which an activation in its node takes
+   its derivative, and the centring mean (the batch mean in training, the
+   running mean it used in inference); the centred input is recomputed
+   from the input, which its producer holds anyway;
  - conv1d keeps no im2col matrix, no padded input and, with a training
    batch norm in its node, no conv output: backward recomputes it, and
-   works per tap on a fresh padding;
+   works per tap on a fresh padding; a biased conv1d with an activation
+   reads the activation's derivative from its own output;
  - lstm keeps gates [i, f, o, tanh(g)] and the cell state before each
    backward chunk (none under ``no_grad``), from which backward recomputes
    the chunk's cells; its output is the one copy of the hidden states, and
@@ -80,9 +86,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
@@ -92,20 +95,11 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
 
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(value) -> Tensor:
@@ -253,36 +247,43 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), back)
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-
-    def back(g):
-        _accumulate(a, g * (data > 0.0))
-
-    return _make(data, (a,), back)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def back(g):
-        _accumulate(a, g * (1.0 - data * data))
-
-    return _make(data, (a,), back)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
     """1 / (1 + e^-x) to within a few ulps in both tails, with no overflow."""
-    return np.exp(-np.logaddexp(0.0, -x))
+    out = np.negative(x, out=out)
+    np.logaddexp(0.0, out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    data = _sigmoid(a.data)
+# Each activation by name: a forward ``f(x, out)`` that writes into ``out``
+# (a new array when None, in place when ``out`` is x) and ``d(g, y)``, the
+# gradient g carried back through it, read from its own output y.  Identity
+# has neither.  The standalone ops below and the activation that runs inside
+# a conv or batch-norm node (``act=``) both read this table.
+_ACTS = {
+    "relu": (lambda x, out: np.maximum(x, 0.0, out=out), lambda g, y: g * (y > 0.0)),
+    "tanh": (lambda x, out: np.tanh(x, out=out), lambda g, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid, lambda g, y: g * y * (1.0 - y)),
+    "identity": (None, None),
+}
 
-    def back(g):
-        _accumulate(a, g * data * (1.0 - data))
 
-    return _make(data, (a,), back)
+def _activation(name: str):
+    f, d = _ACTS[name]
+
+    def op(a: Tensor) -> Tensor:
+        data = f(a.data, None)
+
+        def back(g):
+            _accumulate(a, d(g, data))
+
+        return _make(data, (a,), back)
+
+    op.__name__ = op.__qualname__ = name
+    return op
+
+
+relu, tanh, sigmoid = (_activation(name) for name in ("relu", "tanh", "sigmoid"))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -433,14 +434,15 @@ _LSTM_CHUNK = 16   # steps per LSTM forward and backward chunk; its gate rows st
 
 
 def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None,
-           bn=None, relu: bool = False) -> Tensor:
-    """1-D convolution with zero "same" padding.
+           bn=None, act: str = "identity") -> Tensor:
+    """1-D convolution with zero "same" padding, then the activation ``act``.
 
     x is (batch, time, c_in), w is (width, c_in, c_out), optional bias is
     (c_out,).  The left pad is width // 2, so the output keeps the input
     length.  With ``bn`` (a ``layers.BatchNorm``) and no bias, the node also
-    runs ``batch_norm(..., training=True, relu=relu)`` in place on its output,
-    and backward recomputes the conv output.
+    runs ``batch_norm(..., training=True, act=act)`` in place on its output,
+    and backward recomputes the conv output; without one, ``act`` runs in
+    place on the conv output, from which backward reads its derivative.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d input must be rank 3, got shape {x.shape}")
@@ -473,12 +475,17 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None,
         return out
 
     out = conv(None if b is None else b.data)
+    f, d = _ACTS[act]
     if bn is not None:
-        out, mean, norm_back = _batch_norm(out, out, bn.gamma, bn.beta, bn, True, relu)
+        out, mean, norm_back = _batch_norm(out, out, bn.gamma, bn.beta, bn, True, act)
+    elif f is not None:
+        f(out, out)
 
     def back(g):
         if bn is not None:
             g = norm_back(g, conv(-mean))      # the centred conv output: x + (-m) == x - m
+        elif d is not None:
+            g = d(g, out)
         if x.requires_grad:
             g2 = g.reshape(B * T, Cout)
             dxp = np.zeros((B, T + K - 1, Cin))
@@ -550,10 +557,11 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def _batch_norm(xd: np.ndarray, out: "np.ndarray | None", gamma: Tensor, beta: Tensor,
-                state, training: bool, relu: bool):
-    """Batch norm of xd into ``out`` (new when None); returns it, the centring
-    mean and ``back(g, xc)``, which takes a fresh centred input, overwrites
-    it, accumulates gamma's and beta's gradients and returns xd's."""
+                state, training: bool, act: str):
+    """Batch norm of xd, then the activation ``act``, into ``out`` (new when
+    None); returns it, the centring mean and ``back(g, xc)``, which takes a
+    fresh centred input, overwrites it, accumulates gamma's and beta's
+    gradients and returns xd's."""
     n = xd.shape[0] * xd.shape[1]
     # einsum reductions run about 3x faster than ndarray.sum over (0, 1)
     mean = np.einsum("btc->c", xd) / n if training else state.running_mean
@@ -567,17 +575,18 @@ def _batch_norm(xd: np.ndarray, out: "np.ndarray | None", gamma: Tensor, beta: T
     scale = gamma.data * inv
     data *= scale
     data += beta.data
-    if relu:
-        np.maximum(data, 0.0, out=data)
+    f, d = _ACTS[act]
+    if f is not None:
+        f(data, data)
 
     def back(g, xc):
-        if relu:
-            g = g * (data > 0.0)                # a fresh array, scaled into dx in place
+        if d is not None:
+            g = d(g, data)                      # a fresh array, scaled into dx in place
         gb = np.einsum("btc->c", g)
         gx = np.einsum("btc,btc->c", g, xc) * inv    # d loss / d gamma
         _accumulate(gamma, gx)
         _accumulate(beta, gb)
-        dx = np.multiply(g, scale, out=g if relu else None)
+        dx = np.multiply(g, scale, out=None if d is None else g)
         if training:
             dx -= gb * (scale / n)
             xc *= gx * (scale * inv / n)
@@ -588,14 +597,14 @@ def _batch_norm(xd: np.ndarray, out: "np.ndarray | None", gamma: Tensor, beta: T
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               state, training: bool, relu: bool = False) -> Tensor:
+               state, training: bool, act: str = "identity") -> Tensor:
     """Per-channel batch normalization over the (batch, time) axes.
 
     ``state`` (a ``layers.BatchNorm``) holds ``running_mean``, ``running_var``,
     ``momentum`` and ``eps``.  Training mode normalizes by the batch mean and
     biased variance and rebinds both running statistics, moved toward them by
-    ``momentum``; inference mode normalizes by the running statistics.  With
-    ``relu`` the output is clamped at zero in the same node, so no separate
+    ``momentum``; inference mode normalizes by the running statistics.  The
+    activation ``act`` runs in place in the same node, so no separate
     activation node, output or mask is kept.
     """
     if x.ndim != 3:
@@ -604,7 +613,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError(f"gamma/beta must have shape ({C},), got {gamma.shape}/{beta.shape}")
     xd = x.data
-    data, mean, norm_back = _batch_norm(xd, None, gamma, beta, state, training, relu)
+    data, mean, norm_back = _batch_norm(xd, None, gamma, beta, state, training, act)
 
     def back(g):
         _accumulate(x, norm_back(g, xd - mean))   # recomputed: x is kept anyway

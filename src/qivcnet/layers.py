@@ -100,8 +100,8 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
-        return ad.batch_norm(x, self.gamma, self.beta, self, training, relu=relu)
+    def forward(self, x: Tensor, training: bool, act: str = "identity") -> Tensor:
+        return ad.batch_norm(x, self.gamma, self.beta, self, training, act)
 
     def fold(self, w: Tensor) -> "tuple[Tensor, Tensor]":
         """Kernel and bias of one conv equal to the bias-free conv with ``w``

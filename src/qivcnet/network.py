@@ -7,12 +7,12 @@ and a kernel or its flip spans the same space, so both kernels run forward:
 joined along the output channels as one conv with one batch norm, whose
 2F-channel output is the fusion LSTM's input.  A second LSTM refines the
 fused features and the shortcut, read side by side as one feature axis that
-is never built.  Every stage ends in batch norm and the block activation (a
-ReLU runs inside the batch-norm node).  The convs carry no bias, since the
-batch norm after each would subtract it.  In training a conv stage's batch
-norm and ReLU run inside its conv node; with running statistics they fold
-into the conv (``BatchNorm.fold``), a ReLU clamping that output in place
-when no graph is built.  Each stage output is dropped once read.  An rng
+is never built.  Every stage ends in batch norm and the block activation,
+both inside one node: the conv node in a conv stage, the batch-norm node
+after an LSTM.  The convs carry no bias, since the batch norm after each
+would subtract it.  In training a conv stage's node runs its batch norm;
+with running statistics the batch norm folds into the conv's kernel and
+bias (``BatchNorm.fold``).  Each stage output is dropped once read.  An rng
 samples the variational kernels; ``training`` picks batch statistics.
 
 The network stacks RFR blocks with width-2 max pooling between them,
@@ -108,8 +108,7 @@ class RfrBlock(Layer):
 
     def __init__(self, c_in: int, filters: int, width: int,
                  cfg: NetworkConfig, rng: Rng):
-        self.act = ad.ACTIVATIONS[cfg.activation]
-        self.fuse_relu = cfg.activation == "relu"
+        self.act = cfg.activation
         self.fwd_conv = QiVConv(width, c_in, filters, cfg.qire, cfg.prior_var, rng)
         self.bwd_conv = QiVConv(width, c_in, filters, cfg.qire, cfg.prior_var, rng)
         self.shortcut = Tensor(glorot(rng, (1, c_in, filters), c_in, filters),
@@ -119,30 +118,21 @@ class RfrBlock(Layer):
         self.bn_conv = BatchNorm(2 * filters)   # the fwd kernel's channels, then the bwd kernel's
         self.bn_short, self.bn_fuse, self.bn_refine = (BatchNorm(filters) for _ in range(3))
 
-    def _norm_act(self, bn: BatchNorm, x: Tensor, training: bool) -> Tensor:
-        """Batch norm then the block activation (one node for ReLU)."""
-        if self.fuse_relu:
-            return bn.forward(x, training, relu=True)
-        return self.act(bn.forward(x, training))
-
     def _conv_stage(self, bn: BatchNorm, x: Tensor, w: Tensor, training: bool) -> Tensor:
-        """Bias-free conv, batch norm and activation; with batch statistics the
-        conv node runs the batch norm, with running statistics it folds in."""
+        """Bias-free conv, batch norm and activation in one conv node; with
+        batch statistics it runs the batch norm, with running statistics the
+        batch norm folds into its kernel and bias."""
         if training:
-            out = ad.conv1d(x, w, bn=bn, relu=self.fuse_relu)
-            return out if self.fuse_relu else self.act(out)
-        out = ad.conv1d(x, *bn.fold(w))
-        if out.requires_grad or not self.fuse_relu:
-            return self.act(out)
-        return Tensor(np.maximum(out.data, 0.0, out=out.data))   # no graph: clamp in place
+            return ad.conv1d(x, w, bn=bn, act=self.act)
+        return ad.conv1d(x, *bn.fold(w), act=self.act)
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
         s = self._conv_stage(self.bn_short, x, self.shortcut, training)
         w = ad.concat([self.fwd_conv.kernel(rng), self.bwd_conv.kernel(rng)])   # (width, c_in, 2F)
         h = self.fusion_lstm.forward(self._conv_stage(self.bn_conv, x, w, training))
-        h = self.refine_lstm.forward([self._norm_act(self.bn_fuse, h, training), s])
+        h = self.refine_lstm.forward([self.bn_fuse.forward(h, training, self.act), s])
         del s
-        return self._norm_act(self.bn_refine, h, training)
+        return self.bn_refine.forward(h, training, self.act)
 
     def kl(self) -> Tensor:
         return self.fwd_conv.kl() + self.bwd_conv.kl()

@@ -3,13 +3,13 @@
 Each layer keeps a Gaussian posterior over its kernel only: means mu_w
 and pre-scales rho_w, with sigma = softplus(rho_w) > 0.  The layer has no
 bias, because every one of its outputs feeds a batch norm, whose mean
-subtraction would cancel it.  A forward given an rng samples
+subtraction would cancel it.  A kernel drawn with an rng is
 
     W_s = mu_w + softplus(rho_w) * eps_qire      (structured noise)
 
 where the noise tensor is a constant of the graph, so gradients reach mu_w
-and rho_w through the reparameterization path only.  A forward without an
-rng uses the posterior means and is fully deterministic.  The KL divergence
+and rho_w through the reparameterization path only.  Without an rng the
+kernel is the posterior means, fully deterministic.  The KL divergence
 to the zero-mean isotropic Gaussian prior regularizes the posterior; the
 same stabilizer epsilon is applied to both log terms so the divergence
 vanishes exactly when the posterior matches the prior.
@@ -71,9 +71,9 @@ class QiVConv(Layer):
     its kernel.
 
     Means start from a fan-based uniform draw (the layer's only draw from
-    ``rng`` at construction), and every sigma at half the prior scale.  A
-    forward given an rng convolves with a kernel from ``sample_weights``;
-    one without uses the means and draws nothing.
+    ``rng`` at construction), and every sigma at half the prior scale.
+    ``kernel`` given an rng draws from ``sample_weights``; without one it is
+    the means and draws nothing.
     """
 
     PARTS = ("mu_w", "rho_w")
@@ -97,9 +97,6 @@ class QiVConv(Layer):
         # sample_weights and kl_divergence are looked up at call time, so a
         # profiler can rebind them in this module
         return sample_weights(self, rng)
-
-    def forward(self, x: Tensor, rng: "Rng | None" = None) -> Tensor:
-        return ad.conv1d(x, self.kernel(rng))
 
     def kl(self) -> Tensor:
         return kl_divergence(self)

@@ -243,9 +243,9 @@ def test_conv1d_shape_errors():
         ad.conv1d(Tensor(np.ones((1, 2, 1))), Tensor(np.ones((3, 1, 1))))
 
 
-@pytest.mark.parametrize("relu", [True, False], ids=["relu", "tanh"])
+@pytest.mark.parametrize("act", ["relu", "tanh"])
 @pytest.mark.parametrize("width", [1, 5, 7])
-def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, relu, width):
+def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, act, width):
     # The training conv stage is one node that normalizes its conv output in
     # place and recomputes it in backward; it must give the bits of the two
     # nodes it replaces (output, running statistics and every gradient) and
@@ -263,18 +263,54 @@ def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, r
         bn.running_mean, bn.running_var = np.full(4, 0.3), np.full(4, 2.0)
         xt, wt = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
         if fused:
-            out = ad.conv1d(xt, wt, bn=bn, relu=relu)
+            out = ad.conv1d(xt, wt, bn=bn, act=act)
         else:
             conv = ad.conv1d(xt, wt)
-            out = ad.batch_norm(conv, bn.gamma, bn.beta, bn, True, relu=relu)
+            out = ad.batch_norm(conv, bn.gamma, bn.beta, bn, True, act=act)
         held.append(graph_bytes(out))
-        out = out if relu else ad.tanh(out)
         ad.backward(ad.tsum(out * Tensor(wgt)))
         runs.append([out.data, bn.running_mean, bn.running_var,
                      xt.grad, wt.grad, bn.gamma.grad, bn.beta.grad])
     for got, want in zip(*runs):
         assert np.array_equal(got, want)
     assert held[0] == held[1] - conv.data.nbytes
+
+
+_ACT_NODES = ("batch_norm training", "batch_norm inference", "conv1d batch_norm", "conv1d bias")
+
+
+@pytest.mark.parametrize("act", list(ad.ACTIVATIONS))
+@pytest.mark.parametrize("node", _ACT_NODES)
+def test_activation_in_a_node_is_the_node_then_the_standalone_op(node, act):
+    # ``act=`` runs the activation in place inside the node and reads its
+    # derivative from the node's output; it must give the bits of the node
+    # without it followed by the standalone op: output, running statistics
+    # and every gradient
+    rng = np.random.default_rng(88)
+    x = rng.normal(size=(3, 20, 4 if node.startswith("batch_norm") else 2))
+    w, b, wgt = rng.normal(size=(5, 2, 4)), rng.normal(size=4), rng.normal(size=(3, 20, 4))
+    gamma, beta = rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
+    runs = []
+    for fused in (True, False):
+        bn = BatchNorm(4)
+        bn.gamma.data, bn.beta.data = gamma.copy(), beta.copy()
+        bn.running_mean, bn.running_var = np.full(4, 0.3), np.full(4, 2.0)
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        kw = {"act": act} if fused else {}
+        if node.startswith("batch_norm"):
+            out = ad.batch_norm(xt, bn.gamma, bn.beta, bn, node.endswith("training"), **kw)
+        elif node == "conv1d batch_norm":
+            out = ad.conv1d(xt, wt, bn=bn, **kw)
+        else:
+            out = ad.conv1d(xt, wt, bt, **kw)
+        if not fused:
+            out = ad.ACTIVATIONS[act](out)
+        ad.backward(ad.tsum(out * Tensor(wgt)))
+        grads = [t.grad for t in (xt, wt, bt, bn.gamma, bn.beta) if t.grad is not None]
+        runs.append([out.data, bn.running_mean, bn.running_var, *grads])
+    assert len(runs[0]) == len(runs[1]) == 3 + (4 if node == "conv1d batch_norm" else 3)
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------------ pooling
@@ -420,11 +456,11 @@ def test_batch_norm_relu_grads(training):
 
     def build(ts):
         st = BatchNorm(2) if training else state()
-        out = ad.batch_norm(ts[0], ts[1], ts[2], st, training=training, relu=True)
+        out = ad.batch_norm(ts[0], ts[1], ts[2], st, training=training, act="relu")
         return ad.tsum(ad.sigmoid(out))
 
     fused = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state(),
-                          training=training, relu=True).data
+                          training=training, act="relu").data
     assert np.allclose(fused, np.maximum(pre, 0.0), rtol=0.0, atol=1e-12)
     gradcheck(build, [x.copy(), gamma.copy(), beta.copy()])
 
@@ -620,17 +656,19 @@ def _captured_input_cases():
         st = BatchNorm(3)
         st.running_mean, st.running_var = a(3), np.abs(a(3)) + 0.5
         cases.append((f"batch_norm training={training}", [a(2, 5, 3), a(3), a(3)],
-                      lambda ts, st=st, tr=training: ad.batch_norm(*ts, st, tr, relu=True),
+                      lambda ts, st=st, tr=training: ad.batch_norm(*ts, st, tr, act="relu"),
                       st))
     cases += [
         ("conv1d", [a(2, 7, 2), a(3, 2, 3), a(3)], lambda ts: ad.conv1d(*ts), None),
         ("conv1d batch_norm", [a(2, 7, 2), a(3, 2, 3)],
-         lambda ts: ad.conv1d(*ts, bn=BatchNorm(3), relu=True), None),
+         lambda ts: ad.conv1d(*ts, bn=BatchNorm(3), act="relu"), None),
         ("lstm", [a(2, 5, 3), a(3, 8), a(2, 8), a(8)], lambda ts: ad.lstm(*ts), None),
         ("lstm list", [a(2, 5, 1), a(2, 5, 2), a(3, 8), a(2, 8), a(8)],
          lambda ts: ad.lstm(ts[:2], *ts[2:]), None),
         ("reverse_time", [a(2, 5, 3)], lambda ts: ad.reverse_time(ts[0]), None),
         ("max_pool", [a(2, 6, 3)], lambda ts: ad.max_pool(ts[0]), None),
+        ("conv1d relu", [a(2, 7, 2), a(3, 2, 3), a(3)],
+         lambda ts: ad.conv1d(*ts, act="relu"), None),
     ]
     return cases
 
@@ -700,11 +738,11 @@ def test_backward_never_writes_into_the_incoming_gradient():
         ad.lstm(p(2, 5, 2), p(2, 12), p(3, 12), p(12)),
         ad.lstm([p(2, 5, 1), p(2, 5, 1)], p(2, 12), p(3, 12), p(12)),
     ]
-    for training in (True, False):
-        for relu in (True, False):
-            outs.append(ad.batch_norm(p(2, 4, 3), p(3), p(3), st, training, relu=relu))
-    for relu in (True, False):
-        outs.append(ad.conv1d(p(2, 6, 2), p(3, 2, 3), bn=st, relu=relu))
+    for act in ad.ACTIVATIONS:
+        for training in (True, False):
+            outs.append(ad.batch_norm(p(2, 4, 3), p(3), p(3), st, training, act=act))
+        outs.append(ad.conv1d(p(2, 6, 2), p(3, 2, 3), bn=st, act=act))
+        outs.append(ad.conv1d(p(2, 6, 2), p(3, 2, 3), p(3), act=act))
     for out in outs:
         g = rng.normal(size=out.shape)
         g.flags.writeable = False              # an in-place write raises

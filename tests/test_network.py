@@ -261,9 +261,10 @@ def test_untied_halves_differ():
 @pytest.mark.parametrize("training", [True, False])
 def test_block_runs_both_variational_kernels_as_one_stage(monkeypatch, training):
     # one conv and one batch norm for both variational kernels, whose output
-    # is the fusion LSTM's single input; nothing is reversed in time.  In
-    # training each conv stage's batch norm (with its ReLU) runs inside the
-    # conv node; at inference it folds into the conv's kernel and bias.
+    # is the fusion LSTM's single input; nothing is reversed in time.  Each
+    # stage's ReLU runs inside its conv or batch-norm node.  In training each
+    # conv stage's batch norm runs inside the conv node; at inference it
+    # folds into the conv's kernel and bias.
     seen = []
 
     def spy(name, summary):
@@ -274,16 +275,19 @@ def test_block_runs_both_variational_kernels_as_one_stage(monkeypatch, training)
             return op(*args, **kwargs)
         monkeypatch.setattr(ad, name, watched)
 
-    spy("conv1d", lambda x, w, b=None, bn=None, relu=False: (
-        w.shape, "bias" if b is not None else (bn.gamma.shape[0], relu)))
-    spy("batch_norm", lambda x, *rest, **kw: x.shape[-1])
+    spy("conv1d", lambda x, w, b=None, bn=None, act="identity": (
+        w.shape, "bias" if b is not None else bn.gamma.shape[0], act))
+    spy("batch_norm", lambda x, gamma, beta, state, training, act="identity": (
+        x.shape[-1], act))
     spy("lstm", lambda x, *rest: len(x) if isinstance(x, list) else 1)
     spy("reverse_time", lambda a: a.shape)
     blk = QivcNet(NetworkConfig(blocks=((4, 5),), classifier_width=4, seed=2)).blocks[0]
     blk.forward(Tensor(Rng(5).normal((2, 16, 1))), training, rng=Rng(3))
-    norms = [(4, True), (8, True)] if training else ["bias", "bias"]
-    stages = [("conv1d", ((1, 1, 4), norms[0])), ("conv1d", ((5, 1, 8), norms[1]))]
-    assert seen == [*stages, ("lstm", 1), ("batch_norm", 4), ("lstm", 2), ("batch_norm", 4)]
+    norms = [4, 8] if training else ["bias", "bias"]
+    stages = [("conv1d", ((1, 1, 4), norms[0], "relu")),
+              ("conv1d", ((5, 1, 8), norms[1], "relu"))]
+    assert seen == [*stages, ("lstm", 1), ("batch_norm", (4, "relu")), ("lstm", 2),
+                    ("batch_norm", (4, "relu"))]
 
 
 def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
@@ -303,7 +307,7 @@ def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
     for folded in (True, False):
         if not folded:    # reference: inference batch norm on each conv output
             monkeypatch.setattr(RfrBlock, "_conv_stage", lambda blk, bn, x, w, training:
-                                blk._norm_act(bn, ad.conv1d(x, w), training))
+                                bn.forward(ad.conv1d(x, w), training, blk.act))
         probs = net.forward(x, training=False)
         ad.backward(ad.tsum(probs * wgt))
         grads = {k: p.grad for k, p in net.named_parameters().items() if p.grad is not None}
@@ -375,7 +379,7 @@ def test_posterior_sample_is_scored_on_running_statistics_folded_per_kernel(monk
     assert not np.allclose(sample, means)
     assert all(np.array_equal(v, before[k]) for k, v in net.state_arrays().items())
     monkeypatch.setattr(RfrBlock, "_conv_stage", lambda blk, bn, x, w, training:
-                        blk._norm_act(bn, ad.conv1d(x, w), training))
+                        bn.forward(ad.conv1d(x, w), training, blk.act))
     unfolded = net.forward(x, training=False, rng=Rng(4)).data
     assert np.max(np.abs(sample - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
 
@@ -588,15 +592,15 @@ def test_relu_network_gradients_match_finite_differences(monkeypatch):
         pre = batch_norm(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data), probe, training)
         smallest.append(float(np.min(np.abs(pre.data))))
 
-    def watched_conv1d(x, w, b=None, bn=None, relu=False):
-        if relu:
+    def watched_conv1d(x, w, b=None, bn=None, act="identity"):
+        if act == "relu":
             pre_activation(conv1d(Tensor(x.data), Tensor(w.data)), bn.gamma, bn.beta, bn, True)
-        return conv1d(x, w, b, bn=bn, relu=relu)
+        return conv1d(x, w, b, bn=bn, act=act)
 
-    def watched_batch_norm(x, gamma, beta, state, training, relu=False):
-        if relu:
+    def watched_batch_norm(x, gamma, beta, state, training, act="identity"):
+        if act == "relu":
             pre_activation(x, gamma, beta, state, training)
-        return batch_norm(x, gamma, beta, state, training, relu=relu)
+        return batch_norm(x, gamma, beta, state, training, act)
 
     def watched_relu(a):
         smallest.append(float(np.min(np.abs(a.data))))

@@ -38,12 +38,19 @@ def test_instrument_then_remove_restores_every_binding():
     from qivcnet.network import QivcNet
 
     tracing = _load_tracing()
-    originals = (ad.lstm, ad.backward, ad.ACTIVATIONS["relu"], QivcNet.forward)
+
+    def bindings():
+        # the activations, built from one table, are module globals and
+        # ACTIVATIONS entries alike; the tracer must wrap and restore both
+        acts = [ad.ACTIVATIONS[name] for name in ("relu", "tanh", "sigmoid")]
+        return (ad.lstm, ad.backward, ad.tanh, ad.sigmoid, *acts, QivcNet.forward)
+
+    originals = bindings()
     remove = tracing.instrument(tracing.Tracer("guard"))
     try:
-        wrapped = (ad.lstm, ad.backward, ad.ACTIVATIONS["relu"], QivcNet.forward)
+        wrapped = bindings()
         assert all(w is not o for w, o in zip(wrapped, originals))
     finally:
         remove()
-    restored = (ad.lstm, ad.backward, ad.ACTIVATIONS["relu"], QivcNet.forward)
+    restored = bindings()
     assert all(r is o for r, o in zip(restored, originals))
