@@ -16,8 +16,9 @@ Conventions used throughout the package:
    released as soon as they have been applied, to keep peak memory low;
  - an activation (relu, tanh, sigmoid, identity) is one entry of a table
    that holds its in-place forward and its derivative from its own output;
-   ``conv1d`` and ``batch_norm`` run it inside their node (``act=``), and
-   the standalone ops are built from the same entry.
+   ``conv1d`` (after its batch norm) and ``batch_norm`` run it inside
+   their node (``act=``), and the standalone ops are built from the same
+   entry.
 
 Saved for backward.  The graph held after forward sets the peak memory of a
 training step, so each op keeps only what its backward cannot cheaply
@@ -27,10 +28,9 @@ rebuild:
    its derivative, and the centring mean (the batch mean in training, the
    running mean it used in inference); the centred input is recomputed
    from the input, which its producer holds anyway;
- - conv1d keeps no im2col matrix, no padded input and, with a training
-   batch norm in its node, no conv output: backward recomputes it, and
-   works per tap on a fresh padding; a biased conv1d with an activation
-   reads the activation's derivative from its own output;
+ - conv1d keeps no im2col matrix, no padded input and, with a batch norm
+   in its node, no conv output: backward recomputes it, and works per tap
+   on a fresh padding;
  - lstm keeps gates [i, f, o, tanh(g)] and the cell state before each
    backward chunk (none under ``no_grad``), from which backward recomputes
    the chunk's cells; its output is the one copy of the hidden states, and
@@ -433,16 +433,16 @@ _CONV_CHUNK = 1 << 18   # window elements per conv1d forward chunk; its im2col r
 _LSTM_CHUNK = 16   # steps per LSTM forward and backward chunk; its gate rows stay in cache
 
 
-def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None,
-           bn=None, act: str = "identity") -> Tensor:
-    """1-D convolution with zero "same" padding, then the activation ``act``.
+def conv1d(x: Tensor, w: Tensor, *, bn=None, training: bool = True,
+           act: str = "identity") -> Tensor:
+    """1-D convolution with zero "same" padding, then, with ``bn``, batch norm
+    and the activation ``act``.
 
-    x is (batch, time, c_in), w is (width, c_in, c_out), optional bias is
-    (c_out,).  The left pad is width // 2, so the output keeps the input
-    length.  With ``bn`` (a ``layers.BatchNorm``) and no bias, the node also
-    runs ``batch_norm(..., training=True, act=act)`` in place on its output,
-    and backward recomputes the conv output; without one, ``act`` runs in
-    place on the conv output, from which backward reads its derivative.
+    x is (batch, time, c_in), w is (width, c_in, c_out).  The left pad is
+    width // 2, so the output keeps the input length.  With ``bn`` (a
+    ``layers.BatchNorm``) the node also runs ``batch_norm(..., training,
+    act)`` in place on its output, and backward recomputes the conv output;
+    an activation without ``bn`` is a ShapeError.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d input must be rank 3, got shape {x.shape}")
@@ -452,8 +452,8 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None,
     K, KCin, Cout = w.shape
     if KCin != Cin:
         raise ShapeError(f"kernel in_channels={KCin} does not match input channels={Cin}")
-    if b is not None and (b.shape != (Cout,) or bn is not None):
-        raise ShapeError(f"bias shape {b.shape} is not ({Cout},) or meets a batch norm")
+    if bn is None and act != "identity":
+        raise ShapeError(f"conv1d runs activation {act!r} only after a batch norm")
     if K > T:
         raise ShapeError(f"kernel width {K} exceeds signal length {T}")
 
@@ -474,18 +474,13 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None,
             out += shift
         return out
 
-    out = conv(None if b is None else b.data)
-    f, d = _ACTS[act]
+    out = conv(None)
     if bn is not None:
-        out, mean, norm_back = _batch_norm(out, out, bn.gamma, bn.beta, bn, True, act)
-    elif f is not None:
-        f(out, out)
+        out, mean, norm_back = _batch_norm(out, out, bn.gamma, bn.beta, bn, training, act)
 
     def back(g):
         if bn is not None:
             g = norm_back(g, conv(-mean))      # the centred conv output: x + (-m) == x - m
-        elif d is not None:
-            g = d(g, out)
         if x.requires_grad:
             g2 = g.reshape(B * T, Cout)
             dxp = np.zeros((B, T + K - 1, Cin))
@@ -498,11 +493,8 @@ def conv1d(x: Tensor, w: Tensor, b: "Tensor | None" = None,
             _accumulate(w, np.stack([
                 np.matmul(xp[:, k: k + T, :].transpose(0, 2, 1), g).sum(axis=0)
                 for k in range(K)]))
-        if b is not None and b.requires_grad:
-            _accumulate(b, np.einsum("btc->c", g))
 
-    parents = (x, w) + (() if b is None else (b,)) + (() if bn is None else (bn.gamma, bn.beta))
-    return _make(out, parents, back)
+    return _make(out, (x, w) if bn is None else (x, w, bn.gamma, bn.beta), back)
 
 
 def max_pool(x: Tensor) -> Tensor:

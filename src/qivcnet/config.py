@@ -48,12 +48,13 @@ class RunConfig:
     patience: int = 50
     folds: int = 5
     fold_index: int = -1
-    val_fraction: float = 0.1
     group_by_recording: bool = False
     seed: int = 0
     # evaluation sweeps and diagnostics
     snr_list: str = "25,20,15,10,5"
     trials: int = 10000
+    # not a setting: the share of each class that training holds out to pick its checkpoint
+    val_fraction = 0.1
 
     def __post_init__(self) -> None:
         """Range-check every setting, including the derived configs."""
@@ -69,8 +70,6 @@ class RunConfig:
             raise ConfigError(f"epochs must be in [1, 500], got {self.epochs}")
         if self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val fraction must be in (0, 1), got {self.val_fraction}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not -1 <= self.fold_index < self.folds:

@@ -1,11 +1,12 @@
 """Stratified k-fold construction over segments.
 
-Default stratification is at segment level: within each class, indices are
-shuffled by the seed and dealt round-robin, so per-fold class counts are
-within one of the exact proportional share.  A grouped mode assigns whole
-recordings to folds instead, preventing windows of one recording from
-appearing on both sides of a split; grouped balance is approximate because
-recordings contribute different segment counts.
+Folds are dealt in groups of segments: by default each segment is its own
+group, and a grouped mode keeps each recording's segments together, so no
+recording appears on both sides of a split.  Within each class the groups
+are shuffled by the seed and dealt round-robin.  Segment-level folds hold
+per-class counts within one of the exact proportional share; grouped
+balance is approximate because recordings contribute different segment
+counts.
 """
 
 from __future__ import annotations
@@ -51,32 +52,26 @@ def stratified_kfold(segments: "list[Segment]", k: int = 5, seed: int = 0,
     for c in classes:
         if int(np.sum(labels == c)) < k:
             raise DataError(f"class {c} has fewer than {k} segments")
-    rng = Rng(seed)
-    buckets: "list[list[int]]" = [[] for _ in range(k)]
-    if group_by_recording:
-        _deal_groups(segments, labels, buckets, rng)
-    else:
-        for c in classes:
-            idx = np.nonzero(labels == c)[0]
-            idx = idx[rng.permutation(len(idx))]
-            for j, i in enumerate(idx):
-                buckets[j % k].append(int(i))
+    keys = [s.recording_id for s in segments] if group_by_recording else range(len(segments))
+    buckets = _deal_groups(keys, labels, k, Rng(seed))
     folds = [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
     if any(len(f) == 0 for f in folds):
         raise DataError("a fold received no segments; fewer groups than folds")
     return FoldSplit(folds=folds)
 
 
-def _deal_groups(segments, labels, buckets, rng: Rng) -> None:
-    """Round-robin whole recordings, largest class first within each class."""
-    by_rec: "dict[str, list[int]]" = {}
-    rec_label: "dict[str, int]" = {}
-    for i, seg in enumerate(segments):
-        by_rec.setdefault(seg.recording_id, []).append(i)
-        rec_label[seg.recording_id] = labels[i]
-    k = len(buckets)
-    for c in sorted(set(rec_label.values())):
-        recs = sorted(r for r, lab in rec_label.items() if lab == c)
-        order = rng.permutation(len(recs))
-        for j, r in enumerate(order):
-            buckets[j % k].extend(by_rec[recs[r]])
+def _deal_groups(keys, labels: np.ndarray, k: int, rng: Rng) -> "list[list[int]]":
+    """Segment indices of k folds: the groups of segments that share a key
+    are shuffled within each class (a group takes its last segment's class)
+    and dealt round-robin, class by class in label order."""
+    members: "dict[object, list[int]]" = {}
+    group_label: "dict[object, int]" = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+        group_label[key] = labels[i]
+    buckets: "list[list[int]]" = [[] for _ in range(k)]
+    for c in sorted(set(group_label.values())):
+        groups = sorted(g for g, lab in group_label.items() if lab == c)
+        for j, r in enumerate(rng.permutation(len(groups))):
+            buckets[j % k].extend(members[groups[r]])
+    return buckets

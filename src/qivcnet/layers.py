@@ -87,7 +87,8 @@ class BatchNorm(Layer):
     """Per-channel batch normalization with learnable scale and shift.
 
     The layer owns its running mean and variance (buffers of the parameter
-    tree), the state ``ad.batch_norm`` reads and, in training, updates.
+    tree), the state a batch-norm node (``ad.batch_norm``, or ``ad.conv1d``
+    with ``bn=``) reads and, in training, updates.
     """
 
     PARTS = ("gamma", "beta", "running_mean", "running_var")
@@ -102,13 +103,6 @@ class BatchNorm(Layer):
 
     def forward(self, x: Tensor, training: bool, act: str = "identity") -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self, training, act)
-
-    def fold(self, w: Tensor) -> "tuple[Tensor, Tensor]":
-        """Kernel and bias of one conv equal to the bias-free conv with ``w``
-        followed by this layer at inference: w*s and beta - mean*s, with
-        s = gamma / sqrt(var + eps)."""
-        s = self.gamma * Tensor(1.0 / np.sqrt(self.running_var + self.eps))
-        return w * s, self.beta - Tensor(self.running_mean) * s
 
 
 class LSTM(Layer):

@@ -9,11 +9,10 @@ joined along the output channels as one conv with one batch norm, whose
 fused features and the shortcut, read side by side as one feature axis that
 is never built.  Every stage ends in batch norm and the block activation,
 both inside one node: the conv node in a conv stage, the batch-norm node
-after an LSTM.  The convs carry no bias, since the batch norm after each
-would subtract it.  In training a conv stage's node runs its batch norm;
-with running statistics the batch norm folds into the conv's kernel and
-bias (``BatchNorm.fold``).  Each stage output is dropped once read.  An rng
-samples the variational kernels; ``training`` picks batch statistics.
+after an LSTM, in training and at inference alike.  The convs carry no
+bias, since the batch norm after each would subtract it.  Each stage output
+is dropped once read.  An rng samples the variational kernels;
+``training`` picks batch statistics over running ones.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -118,18 +117,11 @@ class RfrBlock(Layer):
         self.bn_conv = BatchNorm(2 * filters)   # the fwd kernel's channels, then the bwd kernel's
         self.bn_short, self.bn_fuse, self.bn_refine = (BatchNorm(filters) for _ in range(3))
 
-    def _conv_stage(self, bn: BatchNorm, x: Tensor, w: Tensor, training: bool) -> Tensor:
-        """Bias-free conv, batch norm and activation in one conv node; with
-        batch statistics it runs the batch norm, with running statistics the
-        batch norm folds into its kernel and bias."""
-        if training:
-            return ad.conv1d(x, w, bn=bn, act=self.act)
-        return ad.conv1d(x, *bn.fold(w), act=self.act)
-
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
-        s = self._conv_stage(self.bn_short, x, self.shortcut, training)
+        s = ad.conv1d(x, self.shortcut, bn=self.bn_short, training=training, act=self.act)
         w = ad.concat([self.fwd_conv.kernel(rng), self.bwd_conv.kernel(rng)])   # (width, c_in, 2F)
-        h = self.fusion_lstm.forward(self._conv_stage(self.bn_conv, x, w, training))
+        h = self.fusion_lstm.forward(
+            ad.conv1d(x, w, bn=self.bn_conv, training=training, act=self.act))
         h = self.refine_lstm.forward([self.bn_fuse.forward(h, training, self.act), s])
         del s
         return self.bn_refine.forward(h, training, self.act)
@@ -167,7 +159,7 @@ class QivcNet(Layer):
         """Class probabilities (B, 2).  ``(True, rng)`` is a training step;
         ``(False, None)`` scores, as every command does; ``(True, None)`` runs
         the mean kernels on batch statistics; ``(False, rng)`` scores one
-        posterior sample on running statistics, each sampled kernel folded."""
+        posterior sample on running statistics."""
         z = self.features(x, training, rng)
         h = self.act(self.hidden.forward(z))
         return ad.softmax(self.head.forward(h))

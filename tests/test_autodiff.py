@@ -160,7 +160,7 @@ def test_matmul_grads_and_shape_guard():
 
 # -------------------------------------------------------------- convolution
 
-def _ref_conv(x, w, b):
+def _ref_conv(x, w):
     B, T, Cin = x.shape
     K, _, Cout = w.shape
     pl = K // 2
@@ -171,16 +171,15 @@ def _ref_conv(x, w, b):
                 src = t + k - pl
                 if 0 <= src < T:
                     out[bi, t] += x[bi, src] @ w[k]
-    return out if b is None else out + b
+    return out
 
 
 @pytest.mark.parametrize("width,c_in", [(1, 1), (3, 1), (7, 1), (3, 2), (5, 3), (4, 1)])
 def test_conv1d_matches_brute_force(width, c_in):
     x = RNG.normal(size=(3, 11, c_in))
     w = RNG.normal(size=(width, c_in, 5))
-    b = RNG.normal(size=5)
-    got = ad.conv1d(Tensor(x), Tensor(w), Tensor(b)).data
-    want = _ref_conv(x, w, b)
+    got = ad.conv1d(Tensor(x), Tensor(w)).data
+    want = _ref_conv(x, w)
     assert got.shape == (3, 11, 5)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -189,13 +188,12 @@ def test_conv1d_matches_brute_force(width, c_in):
 def test_conv1d_forward_chunks_give_the_one_chunk_bits(monkeypatch, width, c_in):
     x = Tensor(RNG.normal(size=(7, 13, c_in)))
     w = Tensor(RNG.normal(size=(width, c_in, 4)))
-    b = Tensor(RNG.normal(size=4))
-    whole = ad.conv1d(x, w, b).data                  # the default chunk holds all 7 rows
+    whole = ad.conv1d(x, w).data                     # the default chunk holds all 7 rows
     # chunks of 3, 3 and a partial 1 sequences
     monkeypatch.setattr(ad, "_CONV_CHUNK", 3 * 13 * width * c_in + 1)
-    chunked = ad.conv1d(x, w, b).data
+    chunked = ad.conv1d(x, w).data
     assert np.array_equal(chunked, whole)
-    assert np.max(np.abs(chunked - _ref_conv(x.data, w.data, b.data))) < 1e-12
+    assert np.max(np.abs(chunked - _ref_conv(x.data, w.data))) < 1e-12
 
 
 @pytest.mark.parametrize("width", [1, 3, 5, 7])
@@ -210,11 +208,8 @@ def test_conv1d_known_examples():
     x = np.arange(6.0).reshape(1, 6, 1)
     w = np.full((1, 1, 1), 2.0)
     assert np.array_equal(ad.conv1d(Tensor(x), Tensor(w)).data, 2.0 * x)
-    # zero kernel plus bias 7 gives constant 7
-    wz = np.zeros((3, 1, 1))
-    b7 = np.array([7.0])
-    out = ad.conv1d(Tensor(x), Tensor(wz), Tensor(b7)).data
-    assert np.allclose(out, 7.0)
+    # a zero kernel gives zeros
+    assert not np.any(ad.conv1d(Tensor(x), Tensor(np.zeros((3, 1, 1)))).data)
     # width-2 moving pair sums of [1,2] with kernel [1,1]: pad left 1
     x2 = np.array([1.0, 2.0]).reshape(1, 2, 1)
     w2 = np.ones((2, 1, 1))
@@ -227,30 +222,36 @@ def test_conv1d_grads(width):
     # 1 is the shortcut's width; an even width pads one step more on the left than the right
     x = RNG.normal(size=(2, 8, 3))
     w = RNG.normal(size=(width, 3, 4))
-    b = RNG.normal(size=4)
-    gradcheck(lambda ts: ad.tsum(ad.tanh(ad.conv1d(ts[0], ts[1], ts[2]))), [x, w, b])
+    gradcheck(lambda ts: ad.tsum(ad.tanh(ad.conv1d(ts[0], ts[1]))), [x, w])
 
 
 def test_conv1d_shape_errors():
     with pytest.raises(ShapeError):
         ad.conv1d(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 1, 1))))
-    with pytest.raises(ShapeError):      # a bias in front of a batch norm is never learned
-        ad.conv1d(Tensor(np.ones((2, 4, 1))), Tensor(np.ones((3, 1, 1))), Tensor(np.ones(1)),
-                  bn=BatchNorm(1))
+    with pytest.raises(TypeError):       # no bias: it would meet a batch norm that cancels it
+        ad.conv1d(Tensor(np.ones((2, 4, 1))), Tensor(np.ones((3, 1, 1))), Tensor(np.ones(1)))
+    with pytest.raises(TypeError):       # nor a positional batch norm
+        ad.conv1d(Tensor(np.ones((2, 4, 1))), Tensor(np.ones((3, 1, 1))), BatchNorm(1))
+    with pytest.raises(ShapeError):      # the activation runs after the batch norm only
+        ad.conv1d(Tensor(np.ones((2, 4, 1))), Tensor(np.ones((3, 1, 1))), act="relu")
     with pytest.raises(ShapeError):
         ad.conv1d(Tensor(np.ones((2, 4, 2))), Tensor(np.ones((3, 3, 1))))
     with pytest.raises(ShapeError):
         ad.conv1d(Tensor(np.ones((1, 2, 1))), Tensor(np.ones((3, 1, 1))))
 
 
-@pytest.mark.parametrize("act", ["relu", "tanh"])
+@pytest.mark.parametrize("act,training", [("relu", True), ("tanh", True), ("relu", False),
+                                          ("tanh", False)],
+                         ids=["relu", "tanh", "relu-inference", "tanh-inference"])
 @pytest.mark.parametrize("width", [1, 5, 7])
-def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, act, width):
-    # The training conv stage is one node that normalizes its conv output in
-    # place and recomputes it in backward; it must give the bits of the two
-    # nodes it replaces (output, running statistics and every gradient) and
-    # keep exactly the conv output less.  A small chunk makes forward and
-    # the backward recompute run one sequence per GEMM.
+def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, act, width,
+                                                                  training):
+    # A conv stage is one node that normalizes its conv output in place, on
+    # batch or running statistics, and recomputes it in backward; it must
+    # give the bits of the two nodes it replaces (output, running statistics
+    # and every gradient) and keep exactly the conv output less.  A small
+    # chunk makes forward and the backward recompute run one sequence per
+    # GEMM.
     monkeypatch.setattr(ad, "_CONV_CHUNK", 40 * width * 2)
     rng = np.random.default_rng(87)
     x, w = rng.normal(size=(3, 40, 2)), rng.normal(size=(width, 2, 4))
@@ -263,10 +264,10 @@ def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, a
         bn.running_mean, bn.running_var = np.full(4, 0.3), np.full(4, 2.0)
         xt, wt = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
         if fused:
-            out = ad.conv1d(xt, wt, bn=bn, act=act)
+            out = ad.conv1d(xt, wt, bn=bn, training=training, act=act)
         else:
             conv = ad.conv1d(xt, wt)
-            out = ad.batch_norm(conv, bn.gamma, bn.beta, bn, True, act=act)
+            out = ad.batch_norm(conv, bn.gamma, bn.beta, bn, training, act=act)
         held.append(graph_bytes(out))
         ad.backward(ad.tsum(out * Tensor(wgt)))
         runs.append([out.data, bn.running_mean, bn.running_var,
@@ -276,7 +277,8 @@ def test_conv_with_batch_norm_is_conv_then_batch_norm_bit_for_bit(monkeypatch, a
     assert held[0] == held[1] - conv.data.nbytes
 
 
-_ACT_NODES = ("batch_norm training", "batch_norm inference", "conv1d batch_norm", "conv1d bias")
+_ACT_NODES = ("batch_norm training", "batch_norm inference", "conv1d batch_norm",
+              "conv1d inference")
 
 
 @pytest.mark.parametrize("act", list(ad.ACTIVATIONS))
@@ -288,27 +290,26 @@ def test_activation_in_a_node_is_the_node_then_the_standalone_op(node, act):
     # and every gradient
     rng = np.random.default_rng(88)
     x = rng.normal(size=(3, 20, 4 if node.startswith("batch_norm") else 2))
-    w, b, wgt = rng.normal(size=(5, 2, 4)), rng.normal(size=4), rng.normal(size=(3, 20, 4))
+    w, wgt = rng.normal(size=(5, 2, 4)), rng.normal(size=(3, 20, 4))
     gamma, beta = rng.uniform(0.5, 2.0, 4), rng.normal(size=4)
     runs = []
     for fused in (True, False):
         bn = BatchNorm(4)
         bn.gamma.data, bn.beta.data = gamma.copy(), beta.copy()
         bn.running_mean, bn.running_var = np.full(4, 0.3), np.full(4, 2.0)
-        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        xt, wt = (Tensor(a.copy(), requires_grad=True) for a in (x, w))
         kw = {"act": act} if fused else {}
+        training = not node.endswith("inference")
         if node.startswith("batch_norm"):
-            out = ad.batch_norm(xt, bn.gamma, bn.beta, bn, node.endswith("training"), **kw)
-        elif node == "conv1d batch_norm":
-            out = ad.conv1d(xt, wt, bn=bn, **kw)
+            out = ad.batch_norm(xt, bn.gamma, bn.beta, bn, training, **kw)
         else:
-            out = ad.conv1d(xt, wt, bt, **kw)
+            out = ad.conv1d(xt, wt, bn=bn, training=training, **kw)
         if not fused:
             out = ad.ACTIVATIONS[act](out)
         ad.backward(ad.tsum(out * Tensor(wgt)))
-        grads = [t.grad for t in (xt, wt, bt, bn.gamma, bn.beta) if t.grad is not None]
+        grads = [t.grad for t in (xt, wt, bn.gamma, bn.beta) if t.grad is not None]
         runs.append([out.data, bn.running_mean, bn.running_var, *grads])
-    assert len(runs[0]) == len(runs[1]) == 3 + (4 if node == "conv1d batch_norm" else 3)
+    assert len(runs[0]) == len(runs[1]) == 3 + (4 if node.startswith("conv1d") else 3)
     for got, want in zip(*runs):
         assert np.array_equal(got, want)
 
@@ -658,17 +659,19 @@ def _captured_input_cases():
         cases.append((f"batch_norm training={training}", [a(2, 5, 3), a(3), a(3)],
                       lambda ts, st=st, tr=training: ad.batch_norm(*ts, st, tr, act="relu"),
                       st))
+    st = BatchNorm(3)
+    st.running_mean, st.running_var = a(3), np.abs(a(3)) + 0.5
     cases += [
-        ("conv1d", [a(2, 7, 2), a(3, 2, 3), a(3)], lambda ts: ad.conv1d(*ts), None),
+        ("conv1d", [a(2, 7, 2), a(3, 2, 3)], lambda ts: ad.conv1d(*ts), None),
         ("conv1d batch_norm", [a(2, 7, 2), a(3, 2, 3)],
          lambda ts: ad.conv1d(*ts, bn=BatchNorm(3), act="relu"), None),
+        ("conv1d batch_norm inference", [a(2, 7, 2), a(3, 2, 3)],
+         lambda ts, st=st: ad.conv1d(*ts, bn=st, training=False, act="relu"), st),
         ("lstm", [a(2, 5, 3), a(3, 8), a(2, 8), a(8)], lambda ts: ad.lstm(*ts), None),
         ("lstm list", [a(2, 5, 1), a(2, 5, 2), a(3, 8), a(2, 8), a(8)],
          lambda ts: ad.lstm(ts[:2], *ts[2:]), None),
         ("reverse_time", [a(2, 5, 3)], lambda ts: ad.reverse_time(ts[0]), None),
         ("max_pool", [a(2, 6, 3)], lambda ts: ad.max_pool(ts[0]), None),
-        ("conv1d relu", [a(2, 7, 2), a(3, 2, 3), a(3)],
-         lambda ts: ad.conv1d(*ts, act="relu"), None),
     ]
     return cases
 
@@ -688,11 +691,12 @@ def test_ops_work_on_read_only_inputs(case):
 def test_backward_uses_the_inputs_seen_at_forward_time(case):
     # load_state rebinds .data between steps; a closure must not read it late
     _, arrays, op, st = case
+    stats = None if st is None else (st.running_mean, st.running_var)   # rebound, never written
     g = np.random.default_rng(83).normal(size=op([Tensor(a) for a in arrays]).shape)
     grads = []
     for rebind in (False, True):
         if st is not None:
-            st.running_mean, st.running_var = arrays[1].copy(), np.abs(arrays[2]) + 0.5
+            st.running_mean, st.running_var = stats
         ts = [Tensor(arr.copy(), requires_grad=True) for arr in arrays]
         out = op(ts)
         if rebind:
@@ -733,7 +737,7 @@ def test_backward_never_writes_into_the_incoming_gradient():
         ad.tsum(p(2, 3)), ad.tmean(p(2, 3)), ad.reshape(p(2, 3), (3, 2)),
         ad.concat([p(2, 1), p(2, 2)]), ad.take_channel(p(2, 3), 1),
         ad.reverse_time(p(2, 4, 3)), ad.matmul(p(2, 3), p(3, 2)),
-        ad.conv1d(p(2, 6, 2), p(3, 2, 3), p(3)), ad.max_pool(p(2, 6, 3)),
+        ad.conv1d(p(2, 6, 2), p(3, 2, 3)), ad.max_pool(p(2, 6, 3)),
         ad.global_max_pool(p(2, 6, 3)), ad.softmax(p(2, 3)),
         ad.lstm(p(2, 5, 2), p(2, 12), p(3, 12), p(12)),
         ad.lstm([p(2, 5, 1), p(2, 5, 1)], p(2, 12), p(3, 12), p(12)),
@@ -741,8 +745,7 @@ def test_backward_never_writes_into_the_incoming_gradient():
     for act in ad.ACTIVATIONS:
         for training in (True, False):
             outs.append(ad.batch_norm(p(2, 4, 3), p(3), p(3), st, training, act=act))
-        outs.append(ad.conv1d(p(2, 6, 2), p(3, 2, 3), bn=st, act=act))
-        outs.append(ad.conv1d(p(2, 6, 2), p(3, 2, 3), p(3), act=act))
+            outs.append(ad.conv1d(p(2, 6, 2), p(3, 2, 3), bn=st, training=training, act=act))
     for out in outs:
         g = rng.normal(size=out.shape)
         g.flags.writeable = False              # an in-place write raises

@@ -192,7 +192,8 @@ def test_noise_stats_samples_the_last_blocks_kernel(tmp_path, blocks, n):
         f"2,0.05,{n},")
 
 
-@pytest.mark.parametrize("flag", ["--rescale-sqrt-n", "--activation", "--kernel-shape"])
+@pytest.mark.parametrize("flag", ["--rescale-sqrt-n", "--activation", "--kernel-shape",
+                                  "--val-fraction"])
 def test_removed_setting_flags_exit_2(tmp_path, flag):
     rc, out, err = run_cli(["noise-stats", flag, "1", "--outdir", tmp_path / "stats"])
     assert (rc, out) == (2, "")

@@ -74,7 +74,7 @@ def test_load_config_file_errors(tmp_path):
         load_config_file(p)
     # settings that became constants are unknown keys, not silently ignored
     for removed in ("jobs", "dynamic_weights", "ema_decay", "bn_momentum", "pool_between",
-                    "rescale_sqrt_n", "activation", "kernel_shape"):
+                    "rescale_sqrt_n", "activation", "kernel_shape", "val_fraction"):
         p.write_text(f"{removed} = 1\n")
         with pytest.raises(ConfigError, match=f"unknown key '{removed}'"):
             load_config_file(p)
@@ -180,7 +180,7 @@ DEFAULT_CONFIG_TEXT = (
     "k = 5\np = 0.05\nprior_var = 0.01\nkl_scale = 1e-05\n"
     "blocks = 16x7,32x7\nclassifier_width = 32\n"
     "lr = 0.001\nbatch = 256\nepochs = 500\n"
-    "patience = 50\nfolds = 5\nfold_index = -1\nval_fraction = 0.1\n"
+    "patience = 50\nfolds = 5\nfold_index = -1\n"
     "group_by_recording = false\n"
     "seed = 0\nsnr_list = 25,20,15,10,5\ntrials = 10000\n")
 

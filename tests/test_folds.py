@@ -103,3 +103,27 @@ def test_grouped_mode_errors_when_too_few_recordings():
     segs = _segments(8, 0, per_recording=4)
     with pytest.raises(DataError):
         stratified_kfold(segs, k=3, seed=0, group_by_recording=True)
+
+
+def _mixed_segments():
+    """Labels that alternate unevenly, recordings of one to three windows,
+    and ids that sort differently as text ("rec10" < "rec2") and as numbers."""
+    segs = []
+    for r, (windows, label) in enumerate(zip([2, 1, 3, 1, 2, 2, 1, 3, 1, 2, 1, 1],
+                                             "NANNAANANANN")):
+        for w in range(windows):
+            segs.append(Segment(values=np.zeros(4), label="abnormal" if label == "A" else "normal",
+                                recording_id=f"rec{r}", window_index=w))
+    return segs
+
+
+@pytest.mark.parametrize("grouped,want", [
+    (False, [[3, 5, 6, 7, 10, 11, 12, 16], [4, 8, 14, 15, 17, 18], [0, 1, 2, 9, 13, 19]]),
+    (True, [[0, 1, 9, 10, 11, 16, 17, 19], [7, 8, 12, 13, 14, 15, 18], [2, 3, 4, 5, 6]]),
+])
+def test_folds_of_both_modes_are_pinned(grouped, want):
+    # both modes deal groups of segments (one segment each, or one
+    # recording each) through one loop; the folds are pinned, so a change
+    # in either mode's dealing order moves every split and fails here
+    split = stratified_kfold(_mixed_segments(), k=3, seed=5, group_by_recording=grouped)
+    assert [f.tolist() for f in split.folds] == want

@@ -160,10 +160,10 @@ def test_inference_keeps_no_backward_closures(monkeypatch):
 def test_inference_pass_peak_memory_is_bounded():
     # the default net on 16 segments of 1024 samples: (B, T, F) = (16, 1024, 16)
     # float64 is 2.1 MB.  Dropping each block stage's output once read,
-    # clamping the folded conv stages in place and building conv1d's window
-    # matrix per chunk peaks at about 5.0 of these; keeping every stage output
-    # to the end of the block, a separate ReLU output and a whole window
-    # matrix peaked at 7.2.
+    # normalizing and clamping the conv stages in place and building
+    # conv1d's window matrix per chunk peaks at about 5.0 of these; keeping
+    # every stage output to the end of the block, a separate ReLU output and
+    # a whole window matrix peaked at 7.2.
     net = QivcNet(NetworkConfig())
     segs = _segments(16, length=1024)
     infer_probs(net, segs, batch=16)                  # warm-up
@@ -177,8 +177,9 @@ def test_inference_pass_peak_memory_is_bounded():
 
 
 def test_relu_inference_clamps_block_stages_in_place(monkeypatch):
-    # under no_grad a folded conv stage clamps its output in place, so the
-    # only ReLU node left is the dense head's, on a (B, width) input
+    # every block stage clamps its output in place inside its conv or
+    # batch-norm node, so the only ReLU node left is the dense head's, on a
+    # (B, width) input
     ranks = []
     relu = ad.relu
 
@@ -209,10 +210,15 @@ def test_segments_to_batch_widens_cached_rows_exactly(tmp_path):
 
 # ---------------------------------------------------------------- reversal
 
+def _conv_stage(bn: BatchNorm, x: Tensor, w: Tensor, training: bool) -> Tensor:
+    """A block's conv stage: conv, batch norm and ReLU in one conv node."""
+    return ad.conv1d(x, w, bn=bn, training=training, act="relu")
+
+
 def _variational_stage(blk: RfrBlock, x: Tensor, training: bool) -> np.ndarray:
     """The block's merged variational conv stage on the posterior means."""
     w = ad.concat([blk.fwd_conv.kernel(), blk.bwd_conv.kernel()])
-    return blk._conv_stage(blk.bn_conv, x, w, training).data
+    return _conv_stage(blk.bn_conv, x, w, training).data
 
 
 def _moved_off_fresh(bn: BatchNorm, rng) -> None:
@@ -239,7 +245,7 @@ def test_bwd_half_is_the_reversed_path_with_a_flipped_kernel(width, training):
     x = Tensor(Rng(5).normal((2, 16, 1)))
     got = _variational_stage(blk, x, training)[..., F:]
     flipped = Tensor(blk.bwd_conv.mu_w.data[::-1].copy())
-    want = ad.reverse_time(blk._conv_stage(ref_bn, ad.reverse_time(x), flipped, training)).data
+    want = ad.reverse_time(_conv_stage(ref_bn, ad.reverse_time(x), flipped, training)).data
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -262,9 +268,8 @@ def test_untied_halves_differ():
 def test_block_runs_both_variational_kernels_as_one_stage(monkeypatch, training):
     # one conv and one batch norm for both variational kernels, whose output
     # is the fusion LSTM's single input; nothing is reversed in time.  Each
-    # stage's ReLU runs inside its conv or batch-norm node.  In training each
-    # conv stage's batch norm runs inside the conv node; at inference it
-    # folds into the conv's kernel and bias.
+    # stage's ReLU runs inside its conv or batch-norm node, and each conv
+    # stage's batch norm inside the conv node, in training and at inference.
     seen = []
 
     def spy(name, summary):
@@ -275,24 +280,31 @@ def test_block_runs_both_variational_kernels_as_one_stage(monkeypatch, training)
             return op(*args, **kwargs)
         monkeypatch.setattr(ad, name, watched)
 
-    spy("conv1d", lambda x, w, b=None, bn=None, act="identity": (
-        w.shape, "bias" if b is not None else bn.gamma.shape[0], act))
+    spy("conv1d", lambda x, w, *, bn=None, training=True, act="identity": (
+        w.shape, bn.gamma.shape[0], training, act))
     spy("batch_norm", lambda x, gamma, beta, state, training, act="identity": (
         x.shape[-1], act))
     spy("lstm", lambda x, *rest: len(x) if isinstance(x, list) else 1)
     spy("reverse_time", lambda a: a.shape)
     blk = QivcNet(NetworkConfig(blocks=((4, 5),), classifier_width=4, seed=2)).blocks[0]
     blk.forward(Tensor(Rng(5).normal((2, 16, 1))), training, rng=Rng(3))
-    norms = [4, 8] if training else ["bias", "bias"]
-    stages = [("conv1d", ((1, 1, 4), norms[0], "relu")),
-              ("conv1d", ((5, 1, 8), norms[1], "relu"))]
+    stages = [("conv1d", ((1, 1, 4), 4, training, "relu")),
+              ("conv1d", ((5, 1, 8), 8, training, "relu"))]
     assert seen == [*stages, ("lstm", 1), ("batch_norm", (4, "relu")), ("lstm", 2),
                     ("batch_norm", (4, "relu"))]
 
 
-def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
+def _unfused_conv_stages(monkeypatch) -> None:
+    """From now on every conv stage runs as two nodes: the conv, then its
+    batch norm and activation."""
+    conv1d = ad.conv1d
+    monkeypatch.setattr(ad, "conv1d", lambda x, w, *, bn, training, act:
+                        bn.forward(conv1d(x, w), training, act))
+
+
+def test_inference_conv_stages_normalize_by_running_statistics(monkeypatch):
     # every statistic and affine term is moved off its fresh value (mean 0,
-    # var 1, gamma 1, beta 0), any of which would hide a wrong fold
+    # var 1, gamma 1, beta 0), any of which would hide a wrong normalization
     net = QivcNet(MICRO)
     rng = np.random.default_rng(86)
     for name, _, _, value in named_arrays(net):
@@ -304,20 +316,19 @@ def test_inference_folds_batch_norm_into_the_conv_paths(monkeypatch):
     x = Tensor(Rng(9).normal((3, 32, 1)))
     wgt = Tensor(rng.normal(size=(3, 2)))
     runs = []
-    for folded in (True, False):
-        if not folded:    # reference: inference batch norm on each conv output
-            monkeypatch.setattr(RfrBlock, "_conv_stage", lambda blk, bn, x, w, training:
-                                bn.forward(ad.conv1d(x, w), training, blk.act))
+    for fused in (True, False):
+        if not fused:     # reference: inference batch norm on each conv output
+            _unfused_conv_stages(monkeypatch)
         probs = net.forward(x, training=False)
         ad.backward(ad.tsum(probs * wgt))
         grads = {k: p.grad for k, p in net.named_parameters().items() if p.grad is not None}
         runs.append({"probs": probs.data, **grads})
         for p in net.parameters():
             p.grad = None
-    folded, reference = runs
-    assert folded.keys() == reference.keys() and "block0.bn_conv.gamma" in folded
+    fused, reference = runs
+    assert fused.keys() == reference.keys() and "block0.bn_conv.gamma" in fused
     for key, want in reference.items():
-        assert np.max(np.abs(folded[key] - want)) <= 1e-12 * np.max(np.abs(want)), key
+        assert np.array_equal(fused[key], want), key
 
 
 # ---------------------------------------------------- train/infer agreement
@@ -348,8 +359,8 @@ def _counting_draws(monkeypatch) -> list:
 
 def test_mean_kernels_on_batch_statistics_match_the_next_inference_forward(monkeypatch):
     # (training=True, no rng): nothing is sampled, and with momentum 1.0 the
-    # running statistics become this batch's, so the folded inference
-    # forward that follows reproduces the output
+    # running statistics become this batch's, so the inference forward that
+    # follows reproduces the output bit for bit
     net = QivcNet(MICRO)
     for blk in net.blocks:
         for bn in (blk.bn_conv, blk.bn_short, blk.bn_fuse, blk.bn_refine):
@@ -359,13 +370,13 @@ def test_mean_kernels_on_batch_statistics_match_the_next_inference_forward(monke
     batch_stats = net.forward(x, training=True).data
     running = net.forward(x, training=False).data
     assert draws == []
-    assert np.max(np.abs(batch_stats - running)) <= 1e-12
+    assert np.array_equal(batch_stats, running)
 
 
-def test_posterior_sample_is_scored_on_running_statistics_folded_per_kernel(monkeypatch):
+def test_posterior_sample_is_scored_on_running_statistics(monkeypatch):
     # (training=False, rng): both kernels of every block are drawn once, the
-    # running statistics stay put, and each sampled kernel folds with its
-    # batch norm exactly as the unfolded stage would normalize it
+    # running statistics stay put, and each sampled kernel's conv output is
+    # normalized by them exactly as a separate batch-norm node would
     net = QivcNet(MICRO)
     for i, blk in enumerate(net.blocks):
         for bn in (blk.bn_conv, blk.bn_short, blk.bn_fuse, blk.bn_refine):
@@ -378,10 +389,8 @@ def test_posterior_sample_is_scored_on_running_statistics_folded_per_kernel(monk
     assert len(draws) == 2 * len(net.blocks)
     assert not np.allclose(sample, means)
     assert all(np.array_equal(v, before[k]) for k, v in net.state_arrays().items())
-    monkeypatch.setattr(RfrBlock, "_conv_stage", lambda blk, bn, x, w, training:
-                        bn.forward(ad.conv1d(x, w), training, blk.act))
-    unfolded = net.forward(x, training=False, rng=Rng(4)).data
-    assert np.max(np.abs(sample - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+    _unfused_conv_stages(monkeypatch)
+    assert np.array_equal(sample, net.forward(x, training=False, rng=Rng(4)).data)
 
 
 # -------------------------------------------------------------- checkpoint
@@ -592,10 +601,11 @@ def test_relu_network_gradients_match_finite_differences(monkeypatch):
         pre = batch_norm(Tensor(x.data), Tensor(gamma.data), Tensor(beta.data), probe, training)
         smallest.append(float(np.min(np.abs(pre.data))))
 
-    def watched_conv1d(x, w, b=None, bn=None, act="identity"):
+    def watched_conv1d(x, w, *, bn=None, training=True, act="identity"):
         if act == "relu":
-            pre_activation(conv1d(Tensor(x.data), Tensor(w.data)), bn.gamma, bn.beta, bn, True)
-        return conv1d(x, w, b, bn=bn, act=act)
+            pre_activation(conv1d(Tensor(x.data), Tensor(w.data)), bn.gamma, bn.beta, bn,
+                           training)
+        return conv1d(x, w, bn=bn, training=training, act=act)
 
     def watched_batch_norm(x, gamma, beta, state, training, act="identity"):
         if act == "relu":

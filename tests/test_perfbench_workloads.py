@@ -2,12 +2,15 @@
 
 The benchmark counts an operation whose command fails, whose artifacts
 differ from the first operation's, or whose final check finds a problem.
-This loads ``perfbench/inputs.py`` and ``perfbench/workloads.py`` by path,
-without changing them, and runs each workload at the sizes of
-``perfbench/run.py --smoke``: a warm-up, two operations and the final check.
+This loads ``perfbench/inputs.py``, ``perfbench/workloads.py`` and
+``perfbench/tracing.py`` by path, without changing them, and runs each
+workload at the sizes of ``perfbench/run.py --smoke``: a warm-up, two
+operations (the second with every layer wrapped by the tracer, as
+``run.py --trace 1`` runs it) and the final check.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -31,14 +34,24 @@ def _load(name):
 
 @pytest.mark.parametrize("name", ["train-desk", "infer-sweep", "ingest"])
 def test_workload_runs_clean(tmp_path, name):
-    inputs, workloads = _load("inputs"), _load("workloads")
+    inputs, workloads, tracing = _load("inputs"), _load("workloads"), _load("tracing")
     if name == "ingest":
         paths = inputs.corpus_inputs(tmp_path / "work", SEED, SMOKE_CORPUS_RECORDINGS)
     else:
         paths = inputs.desk_inputs(tmp_path / "work", SEED, SMOKE_DESK_SEGMENTS)
     workload = workloads.WORKLOADS[name](paths, SEED)
     workload.warm_up(workloads.reset(tmp_path / "warmup"))
-    ops = [workload.op(tmp_path / "out" / f"op{i}") for i in range(2)]
+    ops = [workload.op(tmp_path / "out" / "op0")]
+    tracer = tracing.Tracer(run_id=name)
+    remove = tracing.instrument(tracer)
+    try:
+        ops.append(workload.op(tmp_path / "out" / "op1", tracer))
+    finally:
+        remove()
     assert [op.problems for op in ops] == [[], []]
     assert ops[0].digests == ops[1].digests
     assert workload.final_check(tmp_path / "out" / "op0") == []
+    values = tracing.per_layer_metrics(tracer, ops[1].seconds - ops[0].seconds)
+    assert [k for k in tracing.per_layer_units() if not math.isfinite(values[k])] == []
+    if name != "ingest":
+        assert values["autodiff.conv1d.fwd_ms"] > 0

@@ -102,9 +102,11 @@ def test_adam_zero_grad():
 
 def test_hyper_validation():
     for kwargs in ({"lr": 0.0}, {"batch": 1}, {"epochs": 0}, {"epochs": 501},
-                   {"patience": -1}, {"val_fraction": 0.0}, {"val_fraction": 1.0}):
+                   {"patience": -1}):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+    with pytest.raises(TypeError):       # a constant, not a setting
+        RunConfig(val_fraction=0.2)
 
 
 # -------------------------------------------------------------- val split
@@ -147,7 +149,7 @@ def test_val_split_rejects_tiny_class():
 def test_train_fold_learns_separable_data(tmp_path):
     segs = _separable_segments(48)
     split = stratified_kfold(segs, k=4, seed=0)
-    cfg = RunConfig(lr=5e-3, batch=8, epochs=12, patience=20, val_fraction=0.15, **MICRO)
+    cfg = RunConfig(lr=5e-3, batch=8, epochs=12, patience=20, **MICRO)
     res = train_fold(segs, 0, split.train_indices(0), split.test_indices(0),
                      cfg, Rng(1), tmp_path / "fold0")
     assert (tmp_path / "fold0" / "checkpoint.bin").is_file()
