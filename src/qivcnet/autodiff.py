@@ -34,7 +34,8 @@ rebuild:
  - lstm keeps gates [i, f, o, tanh(g)] and the cell state before each
    backward chunk (none under ``no_grad``), from which backward recomputes
    the chunk's cells; its output is the one copy of the hidden states, and
-   a list input is read part by part, never joined;
+   a list input is read part by part, never joined; it carries a ``state``
+   across calls only when it keeps none of these;
  - reverse_time returns a view;
  - max_pool keeps a bool mask of the windows whose maximum is their
    second step.
@@ -120,6 +121,10 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    return _grad_enabled        # whether ops record a graph: False inside no_grad
 
 
 def _make(data: np.ndarray, parents: "tuple[Tensor, ...]", backward_fn) -> Tensor:
@@ -457,13 +462,13 @@ def conv1d(x: Tensor, w: Tensor, *, bn=None, training: bool = True,
     if K > T:
         raise ShapeError(f"kernel width {K} exceeds signal length {T}")
 
-    pad = ((0, 0), (K // 2, K - 1 - K // 2), (0, 0))
     xd, wd = x.data, w.data
 
     def conv(shift: "np.ndarray | None") -> np.ndarray:
         # im2col a few sequences at a time: each chunk's window matrix feeds
         # one GEMM into its slice of the output; backward works per kernel tap
-        xp = np.pad(xd, pad)
+        xp = np.zeros((B, T + K - 1, Cin))     # zero "same" padding; np.pad is ~30x slower
+        xp[:, K // 2: K // 2 + T] = xd
         taps = np.arange(T)[:, None] + np.arange(K)          # padded positions read
         out = np.empty((B, T, Cout))
         seqs = max(1, _CONV_CHUNK // (T * K * Cin))
@@ -489,7 +494,8 @@ def conv1d(x: Tensor, w: Tensor, *, bn=None, training: bool = True,
             _accumulate(x, dxp[:, K // 2: K // 2 + T, :])
         if w.requires_grad:
             # one GEMM per sequence and tap, summed over the batch
-            xp = np.pad(xd, pad)
+            xp = np.zeros((B, T + K - 1, Cin))
+            xp[:, K // 2: K // 2 + T] = xd
             _accumulate(w, np.stack([
                 np.matmul(xp[:, k: k + T, :].transpose(0, 2, 1), g).sum(axis=0)
                 for k in range(K)]))
@@ -641,7 +647,7 @@ def _lstm_factors(z: np.ndarray, c0: np.ndarray) -> "tuple[np.ndarray, np.ndarra
     return (1.0 - tanh_c * tanh_c) * o, f
 
 
-def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor, state=None) -> Tensor:
     """Unidirectional LSTM over (batch, time, features); returns all hidden states.
 
     x is one (batch, time, features) tensor or a list of them that agree in
@@ -649,13 +655,17 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     is never built: part k meets its own row block of wx.  wx is
     (features, 4*hidden), wh is (hidden, 4*hidden), b is (4*hidden,).
     Gates are packed [input, forget, output, cell] and the initial hidden and
-    cell states are zero.  All four gates come from one e^z over the (B, 4H)
-    row: the weight and bias columns are negated and the cell gate's doubled
-    (exact in binary floating point), so 1 / (1 + e^z) is sigma of the input,
-    forget and output gates and 2 / (1 + e^z) - 1 = 2 sigma(2g) - 1 = tanh(g);
-    past exp's overflow a gate is exactly 0, 1 or -1.  Gates, and the cell
-    state at each backward chunk boundary, are stored only when the result
-    keeps a backward closure: under ``no_grad`` none are kept.
+    cell states are zero, or the (B, hidden) pair in the list ``state`` (zero
+    when it is empty), which then receives the final pair: calls chained on
+    one state give the bits of one call over the joined sequence.  A state on
+    a call that keeps a backward closure is a GraphError.  All four gates
+    come from one e^z over the (B, 4H) row: the weight and bias columns are
+    negated and the cell gate's doubled (exact in binary floating point), so
+    1 / (1 + e^z) is sigma of the input, forget and output gates and
+    2 / (1 + e^z) - 1 = 2 sigma(2g) - 1 = tanh(g); past exp's overflow a gate
+    is exactly 0, 1 or -1.  Gates, and the cell state at each backward chunk
+    boundary, are stored only when the result keeps a backward closure:
+    under ``no_grad`` none are kept.
     Backward is hand-rolled full-sequence BPTT, walked in chunks of steps;
     each chunk's share of the weight and input gradients is a few GEMMs
     outside the step loop.
@@ -684,6 +694,8 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     sign = np.repeat([-1.0, -2.0], [3 * H, H])
     wxs, whs, bias = wxd * sign, whd * sign, b.data * sign
     keep = _grad_enabled and any(p.requires_grad for p in (*parts, wx, wh, b))
+    if keep and state is not None:
+        raise GraphError("lstm carries a state only when it records no graph")
     gates = np.empty((T if keep else _LSTM_CHUNK, B, 4 * H))
     cells = np.empty((_LSTM_CHUNK, B, H))
     # the cell state before each backward chunk (these count down from T)
@@ -691,7 +703,7 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
     hiddens = np.empty((_LSTM_CHUNK, B, H))
     out = np.empty((B, T, H))
     num = np.tile(np.repeat([1.0, 2.0], [3 * H, H]), (B, 1))   # full rows: no broadcast
-    h = c = np.zeros((B, H))                   # read only, never written in place
+    h, c = state or (np.zeros((B, H)),) * 2      # read only, never written in place
     with np.errstate(over="ignore", under="ignore"):   # e^z = inf gives a gate of exactly 0
         for start in range(0, T, _LSTM_CHUNK):
             n = min(_LSTM_CHUNK, T - start)
@@ -715,6 +727,8 @@ def lstm(x: "Tensor | list[Tensor]", wx: Tensor, wh: Tensor, b: Tensor) -> Tenso
             out[:, start: start + n] = hiddens[:n].transpose(1, 0, 2)
             if keep and start + _LSTM_CHUNK < T:
                 edges[start // _LSTM_CHUNK + 1] = cc[(T - 1) % _LSTM_CHUNK]   # ends a bwd chunk
+    if state is not None:
+        state[:] = h, c
 
     def back(g):
         dcf = np.zeros((B, H))                 # dc_next * f_next, carried back

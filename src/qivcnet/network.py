@@ -10,9 +10,15 @@ fused features and the shortcut, read side by side as one feature axis that
 is never built.  Every stage ends in batch norm and the block activation,
 both inside one node: the conv node in a conv stage, the batch-norm node
 after an LSTM, in training and at inference alike.  The convs carry no
-bias, since the batch norm after each would subtract it.  Each stage output
-is dropped once read.  An rng samples the variational kernels;
-``training`` picks batch statistics over running ones.
+bias, since the batch norm after each would subtract it.  An rng samples
+the variational kernels; ``training`` picks batch statistics over running
+ones.
+
+At inference without a graph no stage needs the whole sequence (batch norm
+is elementwise, a conv needs its kernel's halo, an LSTM its (h, c)), so the
+block runs over chunks of ``_STREAM_STEPS`` steps into one output array: the
+conv on the chunk widened by the halo and cropped back, each LSTM from the
+state the chunk before left.  The outputs keep the whole sequence's bits.
 
 The network stacks RFR blocks with width-2 max pooling between them,
 applies global max pooling over time, and classifies the pooled bottleneck
@@ -67,6 +73,7 @@ def config_to_dict(cfg: NetworkConfig) -> dict:
 
 
 _JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}  # by field type
+_STREAM_STEPS = 8 * ad._LSTM_CHUNK   # time steps per chunk of a streamed inference block
 
 
 def _check_fields(cls, d: dict, where: str) -> None:
@@ -118,12 +125,31 @@ class RfrBlock(Layer):
         self.bn_short, self.bn_fuse, self.bn_refine = (BatchNorm(filters) for _ in range(3))
 
     def forward(self, x: Tensor, training: bool, rng: "Rng | None" = None) -> Tensor:
-        s = ad.conv1d(x, self.shortcut, bn=self.bn_short, training=training, act=self.act)
+        """The block output (B, T, F); at inference without a graph, streamed
+        over time chunks to the same bits (see the module docstring)."""
         w = ad.concat([self.fwd_conv.kernel(rng), self.bwd_conv.kernel(rng)])   # (width, c_in, 2F)
-        h = self.fusion_lstm.forward(
-            ad.conv1d(x, w, bn=self.bn_conv, training=training, act=self.act))
-        h = self.refine_lstm.forward([self.bn_fuse.forward(h, training, self.act), s])
-        del s
+
+        def stage(xc: Tensor, k: Tensor, bn: BatchNorm) -> Tensor:   # conv, batch norm, act
+            return ad.conv1d(xc, k, bn=bn, training=training, act=self.act)
+
+        if training or ad.grad_enabled():
+            s = stage(x, self.shortcut, self.bn_short)
+            return self._lstm_stages(stage(x, w, self.bn_conv), s, training)
+        (B, T, _), K = x.shape, w.shape[0]
+        # chunk ends, none within K steps of T, so a short tail merges into the chunk before
+        stops = list(range(_STREAM_STEPS, T - K + 1, _STREAM_STEPS))
+        out, states = np.empty((B, T, self.shortcut.shape[2])), ([], [])
+        for a, b in zip([0, *stops], [*stops, T]):
+            lo, hi = max(0, a - K // 2), min(T, b + K - 1 - K // 2)   # the conv's halo
+            s = stage(Tensor(x.data[:, a: b]), self.shortcut, self.bn_short)
+            conv = stage(Tensor(x.data[:, lo: hi]), w, self.bn_conv).data[:, a - lo: b - lo]
+            out[:, a: b] = self._lstm_stages(Tensor(conv), s, False, states).data
+        return Tensor(out)
+
+    def _lstm_stages(self, conv: Tensor, s: Tensor, training: bool, states=(None, None)):
+        """The LSTM stages on the conv and shortcut stage outputs; see ``ad.lstm``'s ``state``."""
+        h = self.fusion_lstm.forward(conv, states[0])
+        h = self.refine_lstm.forward([self.bn_fuse.forward(h, training, self.act), s], states[1])
         return self.bn_refine.forward(h, training, self.act)
 
     def kl(self) -> Tensor:

@@ -636,6 +636,36 @@ def test_lstm_list_input_matches_concatenated_input():
     assert np.max(np.abs(wx_grad[2:] - runs[1][3][2:])) < 1e-12   # row block of part 1
 
 
+@pytest.mark.parametrize("widths", [(3,), (2, 3)], ids=["single", "list"])
+def test_lstm_chained_on_a_carried_state_is_one_call_bit_for_bit(widths):
+    # split points off the 16-step chunk grid, a 1-step piece among them
+    rng = np.random.default_rng(86)
+    parts, wx, wh, b = _lstm_parts(rng, widths, B=3, T=75, H=4)
+    ws = [Tensor(a, requires_grad=True) for a in (wx, wh, b)]
+    cuts = [0, 5, 21, 22, 37, 64, 75]
+    with ad.no_grad():
+        whole = ad.lstm([Tensor(p) for p in parts], *ws).data
+        for state in ([], [np.zeros((3, 4)), np.zeros((3, 4))]):
+            pieces = [ad.lstm([Tensor(p[:, a: z]) for p in parts], *ws, state=state).data
+                      for a, z in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(pieces, axis=1), whole)
+            h, c = state
+            assert np.array_equal(h, whole[:, -1]) and c.shape == (3, 4)
+
+
+def test_lstm_state_on_a_recorded_graph_is_a_graph_error():
+    rng = np.random.default_rng(87)
+    parts, wx, wh, b = _lstm_parts(rng, (2,), T=5, H=2)
+    h0, c0 = np.ones((2, 2)), np.ones((2, 2))
+    for state in ([], [h0, c0]):
+        before = list(state)
+        with pytest.raises(GraphError):
+            ad.lstm(Tensor(parts[0], requires_grad=True), Tensor(wx), Tensor(wh), Tensor(b),
+                    state=state)
+        assert len(state) == len(before) and all(s is t for s, t in zip(state, before))
+    assert np.array_equal(h0, np.ones((2, 2))) and np.array_equal(c0, np.ones((2, 2)))
+
+
 def test_lstm_list_input_shape_errors():
     w = [Tensor(np.ones((5, 8))), Tensor(np.ones((2, 8))), Tensor(np.ones(8))]
     with pytest.raises(ShapeError):      # batch differs

@@ -159,11 +159,10 @@ def test_inference_keeps_no_backward_closures(monkeypatch):
 
 def test_inference_pass_peak_memory_is_bounded():
     # the default net on 16 segments of 1024 samples: (B, T, F) = (16, 1024, 16)
-    # float64 is 2.1 MB.  Dropping each block stage's output once read,
-    # normalizing and clamping the conv stages in place and building
-    # conv1d's window matrix per chunk peaks at about 5.0 of these; keeping
-    # every stage output to the end of the block, a separate ReLU output and
-    # a whole window matrix peaked at 7.2.
+    # float64 is 2.1 MB.  Streaming each block over 128-step chunks peaks at
+    # about 4.1 of these; whole-sequence stages that were dropped once read
+    # peaked at 5.0, and keeping every stage output to the end of the block,
+    # a separate ReLU output and a whole window matrix at 7.2.
     net = QivcNet(NetworkConfig())
     segs = _segments(16, length=1024)
     infer_probs(net, segs, batch=16)                  # warm-up
@@ -174,6 +173,73 @@ def test_inference_pass_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 16 * 1024 * 16 * 8, peak
+
+
+@pytest.mark.parametrize("length, bound_mb", [(2000, 50), (8000, 160)])
+def test_infer_probs_peak_memory_per_batch(length, bound_mb):
+    # one 64-segment batch through the default net, in traced numpy memory:
+    # streamed blocks peak at 42 and 135 MB, whole-sequence blocks at 78 and 302
+    net = QivcNet(NetworkConfig())
+    segs = _segments(64, length=length)
+    infer_probs(net, segs[:2])                       # warm-up
+    tracemalloc.start()
+    try:
+        infer_probs(net, segs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6, peak
+
+
+def _randomized_net(activation: str) -> QivcNet:
+    """A small net whose batch norms hold random running statistics and
+    affine parameters, so no stage is near identity."""
+    net = QivcNet(NetworkConfig(blocks=((4, 5), (6, 3)), classifier_width=4,
+                                activation=activation, seed=3))
+    rng = np.random.default_rng(9)
+    for _, owner, attr, value in named_arrays(net):
+        if isinstance(owner, BatchNorm):
+            arr = rng.uniform(0.3, 2.0, value.shape) if attr in ("gamma", "running_var") \
+                else rng.normal(size=value.shape)
+            if isinstance(value, Tensor):
+                value.data = arr
+            else:
+                setattr(owner, attr, arr)
+    return net
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("B", [1, 7])
+@pytest.mark.parametrize("T", [7, 37, 128, 129, 300, 513, 2000])
+def test_streamed_inference_is_the_recorded_graph_bit_for_bit(activation, B, T):
+    # under no_grad each block runs over 128-step chunks (T = 513 leaves a
+    # 1-step tail, merged into the chunk before; T = 7 and 37 are one chunk);
+    # with a graph recorded it runs the whole sequence at once
+    net = _randomized_net(activation)
+    x = Tensor(np.random.default_rng(T + B).normal(size=(B, T, 1)))
+    calls = [lambda: net.forward(x, False), lambda: net.forward(x, False, Rng(4)),
+             lambda: net.features(x, False)]
+    recorded = [call().data for call in calls]
+    with ad.no_grad():
+        streamed = [call().data for call in calls]
+    for got, want in zip(streamed, recorded):
+        assert np.array_equal(got, want)
+
+
+def test_streamed_blocks_run_fixed_chunks_and_merge_a_short_tail(monkeypatch):
+    # 513 steps through a width-5 kernel: chunks of 128, 128, 128 and 129;
+    # then 256 pooled steps: 128 and 128
+    steps = []
+    lstm = ad.lstm
+
+    def watched(x, *rest, **kwargs):
+        steps.append((x[0] if isinstance(x, list) else x).shape[1])
+        return lstm(x, *rest, **kwargs)
+    monkeypatch.setattr(ad, "lstm", watched)
+    net = _randomized_net("relu")
+    with ad.no_grad():
+        net.forward(Tensor(np.ones((2, 513, 1))), False)
+    assert steps[::2] == steps[1::2] == [128, 128, 128, 129, 128, 128]
 
 
 def test_relu_inference_clamps_block_stages_in_place(monkeypatch):
